@@ -6,7 +6,7 @@ counts), the quadratic-character pattern gadget, and executable subset-sum
 and 3SAT hardness reductions, each checked against brute-force oracles.
 """
 
-from .charsum import alpha_poly, chi, coverage, is_onto, pattern_map
+from .charsum import alpha_poly, chi, coverage, is_onto
 from .counting import (
     count_codomain,
     count_direct,

@@ -47,10 +47,6 @@ class CharacterGadget:
     p: int
     alpha: SparsePoly
 
-    def value(self, x: int) -> int:
-        """alpha(x) without polynomial evaluation (scalar fast path)."""
-        return 1 if chi(x, self.p) == 1 else 0
-
 
 def alpha_poly(p: int) -> CharacterGadget:
     """inv2 * x^((p-1)/2) + inv2 * x^(p-1) with inv2 = (p+1)/2."""
@@ -74,14 +70,6 @@ def alpha_table(p: int) -> bytes:
     for x in range(1, p):
         table[x * x % p] = 1
     return bytes(table)
-
-
-def pattern_map(p: int, t: int, x: int) -> tuple[int, ...]:
-    """(alpha(x), alpha(x+1), ..., alpha(x+t-1))."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    gadget = alpha_poly(p)
-    return tuple(gadget.value((x + i) % p) for i in range(t))
 
 
 @dataclass(frozen=True)

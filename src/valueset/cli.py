@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized choices "
                              "(env VALUESET_SEED overrides)")
     common.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="worker count for enumerations "
-                             "(affects timing only, never output)")
+                        help="number of fixed chunks enumerations are split "
+                             "into; chunks run serially, output never changes")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", default="-",
                         help="output path, '-' for stdout")

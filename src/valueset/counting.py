@@ -21,17 +21,28 @@ from functools import lru_cache
 
 from . import polyrep
 from .errors import (
+    DeskScaleExceededError,
     NonIntegralResultError,
     OrderTooLargeError,
     ZeroPolynomialError,
 )
-from .ffield import ENUMERATION_CAP, Field
+from .ffield import (
+    ENUMERATION_CAP,
+    Field,
+    _dense_gcd,
+    _dense_powmod,
+    _dense_sub,
+    _dense_trim,
+)
 from .parallel import map_chunks, merge_counters
 from .polyrep import DensePoly, PolyInput, SparsePoly
 
 # Expansion limit used when the symmetric method has to densify a
 # sparse-shift or straight-line input to learn its exact degree.
 EXPANSION_CAP = 2 ** 20
+
+# Largest degree whose symmetric weights sigma_1..sigma_d are computed.
+MAX_SYM_DEGREE = 1000
 
 NK_SOURCES = ("histogram", "brute", "hypersurface")
 METHODS = ("direct", "codomain", "symmetric")
@@ -184,25 +195,28 @@ def count_direct(f, field: Field | None = None, workers: int = 1):
     return report, histogram
 
 
+def _has_root(field: Field, g: list[int]) -> bool:
+    """Root test on a trimmed coefficient list: gcd(x^q - x mod g, g) != 1.
+
+    The zero list vanishes everywhere and a nonzero constant nowhere.
+    """
+    if len(g) <= 1:
+        return not g
+    r = _dense_sub(field, _dense_powmod(field, [0, 1], field.q, g), [0, 1])
+    return not r or len(_dense_gcd(field, g, r)) - 1 >= 1
+
+
 def has_root(g: DensePoly) -> bool:
     """True iff g has a root in F_q, via gcd(x^q - x mod g, g)."""
     if g.is_zero():
         raise ZeroPolynomialError("every point is a root of the zero polynomial")
-    if g.degree == 0:
-        return False
-    field = g.field
-    coeffs = list(g.coeffs)
-    xq = polyrep._dense_powmod(field, [0, 1], field.q, coeffs)
-    r = polyrep._dense_sub(field, xq, [0, 1])
-    if not r:
-        return True
-    return len(polyrep._dense_gcd(field, coeffs, r)) - 1 >= 1
+    return _has_root(g.field, list(g.coeffs))
 
 
 def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
     """For each a in F_q decide whether f - a has a root; count the hits.
 
-    Keeps only a counter per worker (never the image set), so space stays
+    Keeps only a counter per chunk (never the image set), so space stays
     polynomial in d*log(q).
     """
     start = time.perf_counter()
@@ -218,17 +232,8 @@ def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
         for a in range(lo, hi):
             g = list(coeffs) if coeffs else [0]
             g[0] = field.sub(g[0], a)
-            while g and g[-1] == 0:
-                g.pop()
-            if not g:
-                count += 1  # f is the constant a itself
-            elif len(g) == 1:
-                continue
-            else:
-                xq = polyrep._dense_powmod(field, [0, 1], q, g)
-                r = polyrep._dense_sub(field, xq, [0, 1])
-                if not r or len(polyrep._dense_gcd(field, g, r)) - 1 >= 1:
-                    count += 1
+            # f - a == 0 (f is the constant a) counts as a hit
+            count += _has_root(field, _dense_trim(g))
         return count
 
     cardinality = sum(map_chunks(work, q, workers))
@@ -255,14 +260,17 @@ def sym_weights(d: int, method: str = "newton") -> SymWeights:
     identity on the integer power sums P_i = 1^i + ... + d^i therefore
     yields the reciprocal weights after one reversal, while keeping every
     intermediate integer below d^(d+1) (the recurrence taken literally over
-    the fractional power sums sum 1/j^i grows like lcm(1..d)^d; that form
-    is kept in _newton_reciprocal for small-d cross-checks).
+    the fractional power sums sum 1/j^i grows like lcm(1..d)^d, so that
+    form serves only as a small-d cross-check in the tests).
 
     product: expand prod_{j=1..d} (X + j) over the integers; the X^i
     coefficient is d! * sigma_i.  Used as the independent cross-check.
     """
-    if not 1 <= d <= 1000:
-        raise ValueError("d must be in [1, 1000]")
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if d > MAX_SYM_DEGREE:
+        raise DeskScaleExceededError(
+            f"d = {d} exceeds the symmetric-weight cap {MAX_SYM_DEGREE}")
     fact = math.factorial(d)
     if method == "product":
         poly = [1]
@@ -291,41 +299,6 @@ def sym_weights(d: int, method: str = "newton") -> SymWeights:
             raise NonIntegralResultError("Newton recurrence left a remainder")
     sigma = tuple(Fraction(E[d - k], fact) for k in range(1, d + 1))
     return SymWeights(d, sigma)
-
-
-def _newton_reciprocal(d: int) -> SymWeights:
-    """The Newton recurrence taken literally over the reciprocal power sums.
-
-    Cleared of denominators by d! * L^k with L = lcm(1..d): with
-    G_k = d! L^k sigma_k and S_i = sum_j (L/j)^i,
-        k * G_k = sum_{i=1..k} (-1)^(i-1) G_(k-i) S_i.
-    Exponential bit growth makes this a small-d cross-check only.
-    """
-    if not 1 <= d <= 1000:
-        raise ValueError("d must be in [1, 1000]")
-    fact = math.factorial(d)
-    L = math.lcm(*range(1, d + 1))
-    ratios = [L // j for j in range(1, d + 1)]
-    powers = [1] * d
-    S = [0] * (d + 1)
-    for i in range(1, d + 1):
-        powers = [pw * r for pw, r in zip(powers, ratios)]
-        S[i] = sum(powers)
-    G = [fact] + [0] * d
-    for k in range(1, d + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            term = G[k - i] * S[i]
-            acc += term if i % 2 else -term
-        G[k], rem = divmod(acc, k)
-        if rem:
-            raise NonIntegralResultError("Newton recurrence left a remainder")
-    Lk = 1
-    sigma = []
-    for k in range(1, d + 1):
-        Lk *= L
-        sigma.append(Fraction(G[k], fact * Lk))
-    return SymWeights(d, tuple(sigma))
 
 
 def scaled_sym_weights(weights: SymWeights) -> tuple[int, ...]:
@@ -506,6 +479,7 @@ def count_symmetric(f, field: Field | None = None, nk_source: str = "histogram",
         return ValueSetReport(cardinality=1, method="symmetric", q=q, d=d,
                               seconds=time.perf_counter() - start)
 
+    weights = sym_weights(d)
     histogram = None
     if nk_source == "histogram":
         _, histogram = count_direct(g, workers=workers)
@@ -520,7 +494,6 @@ def count_symmetric(f, field: Field | None = None, nk_source: str = "histogram",
             counts.append(nk_from_hypersurface(surf))
         nk = EqualValueCounts(d, tuple(counts), "hypersurface")
 
-    weights = sym_weights(d)
     scaled = scaled_sym_weights(weights)
     total = Fraction(0)
     scaled_total = 0

@@ -72,62 +72,109 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p on little-endian coefficient lists.  Used to
-# build extension fields; the Field class below wraps it for element ops.
+# Dense polynomial arithmetic over a Field: little-endian lists of canonical
+# element indices, trailing zeros trimmed.  Prime fields take an inline % p
+# path in mul and mod; extension fields go through the Field's element ops.
+# Extension-field multiplication itself runs on this kernel over F_p.
 # ---------------------------------------------------------------------------
 
 
-def _trim(c: list[int]) -> list[int]:
+def _dense_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _dense_add(field: Field, a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = field.add(out[i], c)
+    return _dense_trim(out)
+
+
+def _dense_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = field.sub(out[i], c)
+    return _dense_trim(out)
+
+
+def _dense_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    if field.m == 1:
+        p = field.p
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = (out[i + j] + ai * bj) % p
+        return _dense_trim(out)
+    mul, add = field.mul, field.add
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return _dense_trim(out)
 
 
-def _pmod(a: list[int], g: list[int], p: int) -> list[int]:
+def _dense_mod(field: Field, a: list[int], g: list[int]) -> list[int]:
+    if not g:
+        raise ZeroDivisionError("polynomial modulus is zero")
     a = list(a)
     dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    while len(a) - 1 >= dg and a:
-        a = _trim(a)
-        if len(a) - 1 < dg:
-            break
-        coef = a[-1] * inv_lead % p
+    if field.m == 1:
+        p = field.p
+        inv_lead = pow(g[-1], -1, p)
+        while _dense_trim(a) and len(a) - 1 >= dg:
+            coef = a[-1] * inv_lead % p
+            shift = len(a) - 1 - dg
+            for i, gi in enumerate(g):
+                a[shift + i] = (a[shift + i] - coef * gi) % p
+        return a
+    inv_lead = field.inv(g[-1])
+    mul, sub = field.mul, field.sub
+    while _dense_trim(a) and len(a) - 1 >= dg:
+        coef = mul(a[-1], inv_lead)
         shift = len(a) - 1 - dg
         for i, gi in enumerate(g):
-            a[shift + i] = (a[shift + i] - coef * gi) % p
-        a = _trim(a)
+            a[shift + i] = sub(a[shift + i], mul(coef, gi))
     return a
 
 
-def _ppowmod(base: list[int], e: int, g: list[int], p: int) -> list[int]:
+def _dense_pow(field: Field, base: list[int], e: int) -> list[int]:
     result = [1]
-    base = _pmod(base, g, p)
     while e > 0:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), g, p)
-        base = _pmod(_pmul(base, base, p), g, p)
+            result = _dense_mul(field, result, base)
         e >>= 1
+        if e:
+            base = _dense_mul(field, base, base)
     return result
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+def _dense_powmod(field: Field, base: list[int], e: int, g: list[int]) -> list[int]:
+    result = [1]
+    base = _dense_mod(field, base, g)
+    while e > 0:
+        if e & 1:
+            result = _dense_mod(field, _dense_mul(field, result, base), g)
+        e >>= 1
+        if e:
+            base = _dense_mod(field, _dense_mul(field, base, base), g)
+    return result
+
+
+def _dense_gcd(field: Field, a: list[int], b: list[int]) -> list[int]:
     a, b = list(a), list(b)
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _dense_mod(field, a, b)
     if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
+        inv = field.inv(a[-1])
+        a = [field.mul(c, inv) for c in a]
     return a
 
 
@@ -153,22 +200,14 @@ def is_irreducible(poly: list[int], p: int) -> bool:
     m = len(poly) - 1
     if m < 1:
         raise NotMonicError("degree must be at least 1")
-    x = [0, 1]
+    fp = Field(p, 1, p, None)
+    x = _dense_mod(fp, [0, 1], poly)  # x itself is not reduced when m == 1
     # x^(p^m) == x mod poly, and gcd(x^(p^(m/l)) - x, poly) == 1 for prime l | m
     for ell in _prime_factors(m):
-        h = _ppowmod(x, p ** (m // ell), poly, p)
-        h = _trim([(hc - xc) % p for hc, xc in _zip_pad(h, x)])
-        if len(_pgcd(h, poly, p)) - 1 >= 1:
+        h = _dense_sub(fp, _dense_powmod(fp, x, p ** (m // ell), poly), x)
+        if len(_dense_gcd(fp, h, poly)) - 1 >= 1:
             return False
-    h = _ppowmod(x, p ** m, poly, p)
-    h = _trim([(hc - xc) % p for hc, xc in _zip_pad(h, x)])
-    return not h
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+    return not _dense_sub(fp, _dense_powmod(fp, x, p ** m, poly), x)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +229,10 @@ class Field:
     q: int
     modulus: tuple[int, ...] | None  # monic, little-endian, length m+1; None iff m == 1
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.m > 1:  # F_p, the coefficient field of the modulus, built once
+            object.__setattr__(self, "_prime", Field(self.p, 1, self.p, None))
 
     # -- element construction ------------------------------------------------
 
@@ -254,9 +297,6 @@ class Field:
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a * b % self.p
@@ -302,9 +342,9 @@ class Field:
         return result
 
     def _mul_poly(self, a: int, b: int) -> int:
-        prod = _pmod(_pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p),
-                     list(self.modulus), self.p)
-        return self.from_coeffs(prod + [0] * (self.m - len(prod)))
+        fp = self._prime
+        prod = _dense_mul(fp, self.coeffs(a), self.coeffs(b))
+        return self.from_coeffs(_dense_mod(fp, prod, self.modulus))
 
     def _logexp(self):
         """Lazy discrete-log tables keyed off a multiplicative generator."""

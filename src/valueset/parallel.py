@@ -1,25 +1,19 @@
 """Deterministic chunked execution for enumeration-heavy operations.
 
-Workers only change wall-clock behaviour: chunks are fixed by the input
-size, each chunk computes an independent partial result, and partials are
-merged in chunk order, so the output is identical for any worker count.
+The range is cut into fixed chunks by the worker count, each chunk computes
+an independent partial result, and partials are merged in chunk order.
+Chunks run one after another in the calling thread: the worker count sets
+only the partition, so the output is identical for any worker count.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .ffield import split_range
 
 
 def map_chunks(fn, n: int, workers: int) -> list:
     """Apply fn(lo, hi) over a partition of [0, n); results in chunk order."""
-    chunks = split_range(n, max(1, workers))
-    if workers <= 1 or len(chunks) <= 1:
-        return [fn(lo, hi) for lo, hi in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in chunks]
-        return [f.result() for f in futures]
+    return [fn(lo, hi) for lo, hi in split_range(n, max(1, workers))]
 
 
 def merge_counters(parts: list[dict]) -> dict:

@@ -18,7 +18,17 @@ from .errors import (
     FieldMismatchError,
     ParseError,
 )
-from .ffield import Field, make_field
+from .ffield import (
+    Field,
+    _dense_add,
+    _dense_gcd,
+    _dense_mod,
+    _dense_mul,
+    _dense_pow,
+    _dense_powmod,
+    _dense_sub,
+    make_field,
+)
 
 SLP_STRICT = "strict"
 SLP_EXTENDED = "extended"
@@ -170,7 +180,8 @@ class SlpBuilder:
 
     def one(self) -> int:
         if self.mode == SLP_STRICT:
-            return 1 if self.field.m == 1 else self.const(1)
+            # Strict extension programs have no ONE: gen^(q-1) = 1.
+            return 1 if self.field.m == 1 else self.power(1, self.field.q - 1)
         return self._emit(("one",))
 
     def x(self) -> int:
@@ -377,80 +388,8 @@ def reduce_exponents(f: SparsePoly) -> SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# Dense arithmetic (coefficient lists of canonical indices)
+# Dense arithmetic on DensePoly (the list kernel lives in ffield)
 # ---------------------------------------------------------------------------
-
-
-def _dense_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_add(field: Field, a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return _dense_trim(out)
-
-
-def _dense_sub(field: Field, a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = field.sub(out[i], c)
-    return _dense_trim(out)
-
-
-def _dense_mul(field: Field, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    mul, add = field.mul, field.add
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return _dense_trim(out)
-
-
-def _dense_mod(field: Field, a: list[int], g: list[int]) -> list[int]:
-    if not g:
-        raise ZeroDivisionError("polynomial modulus is zero")
-    a = list(a)
-    dg = len(g) - 1
-    inv_lead = field.inv(g[-1])
-    mul, sub = field.mul, field.sub
-    while _dense_trim(a) and len(a) - 1 >= dg:
-        coef = mul(a[-1], inv_lead)
-        shift = len(a) - 1 - dg
-        for i, gi in enumerate(g):
-            a[shift + i] = sub(a[shift + i], mul(coef, gi))
-    return a
-
-
-def _dense_powmod(field: Field, base: list[int], e: int, g: list[int]) -> list[int]:
-    result = [1]
-    base = _dense_mod(field, base, g)
-    while e > 0:
-        if e & 1:
-            result = _dense_mod(field, _dense_mul(field, result, base), g)
-        e >>= 1
-        if e:
-            base = _dense_mod(field, _dense_mul(field, base, base), g)
-    return result
-
-
-def _dense_gcd(field: Field, a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _dense_mod(field, a, b)
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
 
 
 def _same_field(a, b) -> Field:
@@ -471,15 +410,11 @@ def dense_mul(g: DensePoly, h: DensePoly) -> DensePoly:
 
 def dense_mod(g: DensePoly, h: DensePoly) -> DensePoly:
     f = _same_field(g, h)
-    if h.is_zero():
-        raise ZeroDivisionError("polynomial modulus is zero")
     return DensePoly(f, tuple(_dense_mod(f, list(g.coeffs), list(h.coeffs))))
 
 
 def dense_powmod(g: DensePoly, e: int, h: DensePoly) -> DensePoly:
     f = _same_field(g, h)
-    if h.is_zero():
-        raise ZeroDivisionError("polynomial modulus is zero")
     return DensePoly(f, tuple(_dense_powmod(f, list(g.coeffs), e, list(h.coeffs))))
 
 
@@ -489,17 +424,6 @@ def dense_gcd(g: DensePoly, h: DensePoly) -> DensePoly:
     if g.is_zero() and h.is_zero():
         raise ZeroDivisionError("gcd of two zero polynomials")
     return DensePoly(f, tuple(_dense_gcd(f, list(g.coeffs), list(h.coeffs))))
-
-
-def _dense_pow(field: Field, base: list[int], e: int) -> list[int]:
-    result = [1]
-    while e > 0:
-        if e & 1:
-            result = _dense_mul(field, result, base)
-        e >>= 1
-        if e:
-            base = _dense_mul(field, base, base)
-    return result
 
 
 def to_dense(f, cap: int) -> DensePoly:

@@ -346,7 +346,9 @@ def parse_dimacs(text: str) -> Cnf3:
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break  # SATLIB end marker; a "0" line may follow it
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -494,12 +496,6 @@ def build_circuit(cnf: Cnf3) -> Nc05Circuit:
         if len(circuit.depends(j)) > 5:  # pragma: no cover - structural guarantee
             raise AssertionError(f"output {j} depends on more than 5 inputs")
     return circuit
-
-
-def mux_reference(clause, y_i: int, y_next: int, xbits) -> int:
-    """The mux form of w_i, evaluated purely on booleans (test oracle)."""
-    sat = any((lit > 0) == bool(xbits[abs(lit) - 1]) for lit in clause)
-    return (y_i ^ y_next) if sat else y_i
 
 
 def sat_count(cnf: Cnf3) -> int:

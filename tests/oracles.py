@@ -1,0 +1,61 @@
+"""Slow, independent reference routes that the tests compare against."""
+
+import math
+from fractions import Fraction
+
+from valueset.charsum import chi
+from valueset.counting import SymWeights
+from valueset.errors import NonIntegralResultError
+
+
+def alpha_value(p: int, x: int) -> int:
+    """alpha(x) from the pow-based quadratic character, no polynomial."""
+    return 1 if chi(x, p) == 1 else 0
+
+
+def pattern_map(p: int, t: int, x: int) -> tuple[int, ...]:
+    """(alpha(x), alpha(x+1), ..., alpha(x+t-1))."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return tuple(alpha_value(p, (x + i) % p) for i in range(t))
+
+
+def mux_reference(clause, y_i: int, y_next: int, xbits) -> int:
+    """The mux form of w_i, evaluated purely on booleans."""
+    sat = any((lit > 0) == bool(xbits[abs(lit) - 1]) for lit in clause)
+    return (y_i ^ y_next) if sat else y_i
+
+
+def newton_reciprocal(d: int) -> SymWeights:
+    """The Newton recurrence taken literally over the reciprocal power sums.
+
+    Cleared of denominators by d! * L^k with L = lcm(1..d): with
+    G_k = d! L^k sigma_k and S_i = sum_j (L/j)^i,
+        k * G_k = sum_{i=1..k} (-1)^(i-1) G_(k-i) S_i.
+    Exponential bit growth makes this a small-d cross-check only.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    fact = math.factorial(d)
+    L = math.lcm(*range(1, d + 1))
+    ratios = [L // j for j in range(1, d + 1)]
+    powers = [1] * d
+    S = [0] * (d + 1)
+    for i in range(1, d + 1):
+        powers = [pw * r for pw, r in zip(powers, ratios)]
+        S[i] = sum(powers)
+    G = [fact] + [0] * d
+    for k in range(1, d + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = G[k - i] * S[i]
+            acc += term if i % 2 else -term
+        G[k], rem = divmod(acc, k)
+        if rem:
+            raise NonIntegralResultError("Newton recurrence left a remainder")
+    Lk = 1
+    sigma = []
+    for k in range(1, d + 1):
+        Lk *= L
+        sigma.append(Fraction(G[k], fact * Lk))
+    return SymWeights(d, tuple(sigma))

@@ -1,6 +1,7 @@
 """Quadratic character, the alpha gadget, and pattern coverage."""
 
 import pytest
+from oracles import pattern_map
 
 from valueset.charsum import (
     alpha_poly,
@@ -9,7 +10,6 @@ from valueset.charsum import (
     coverage,
     is_onto,
     pattern_index_table,
-    pattern_map,
     pattern_table,
 )
 from valueset.errors import (

@@ -85,6 +85,11 @@ def test_scale_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", poly)
     assert code == 3
     assert "cap" in err
+    # a valid polynomial whose degree 1005 exceeds the symmetric-weight cap
+    poly = write(tmp_path, "deg.poly", "dense p=1009: " + "0 " * 1005 + "1\n")
+    code, out, err = run_cli(capsys, "count", poly, "--method", "symmetric")
+    assert code == 3 and out == ""
+    assert "cap" in err
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -133,6 +138,10 @@ def test_reduce_sat3(tmp_path, capsys):
     assert (payload["gamma_valueset"], payload["circuit_image"],
             payload["expected_image"]) == ("9", "9", "9")
     assert payload["agree"] is True
+    # the same formula with a SATLIB "%" / "0" trailer
+    cnf = write(tmp_path, "uf.cnf", "c SATLIB\np cnf 3 1\n1 2 3 0\n%\n0\n")
+    code, satlib_out, _ = run_cli(capsys, "reduce", "sat3", cnf)
+    assert code == 0 and json.loads(satlib_out) == payload
 
 
 def test_reduce_random_prime_policy_seeded(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
+from oracles import newton_reciprocal
 
 from valueset.counting import (
     HypersurfaceCount,
-    _newton_reciprocal,
     count_codomain,
     count_direct,
     count_hypersurface_points,
@@ -24,11 +25,13 @@ from valueset.counting import (
     sym_weights,
 )
 from valueset.errors import (
+    DeskScaleExceededError,
     NonIntegralResultError,
     OrderTooLargeError,
     ZeroPolynomialError,
 )
-from valueset.ffield import make_field
+from valueset.ffield import Field, make_field
+from valueset.parallel import map_chunks
 from valueset.polyrep import DensePoly, SparsePoly, SparseShiftPoly
 
 F3 = make_field(3)
@@ -112,7 +115,7 @@ def test_sym_weights_three_routes_agree():
     for d in (1, 2, 3, 7, 16, 25, 40):
         newton = sym_weights(d, "newton").sigma
         product = sym_weights(d, "product").sigma
-        literal = _newton_reciprocal(d).sigma
+        literal = newton_reciprocal(d).sigma
         assert newton == product == literal
         assert newton[-1] == Fraction(1, math.factorial(d))
         assert newton[0] == sum(Fraction(1, j) for j in range(1, d + 1))
@@ -125,6 +128,13 @@ def test_scaled_sym_weights_integral():
         assert all(isinstance(v, int) for v in scaled)
         fact = math.factorial(d)
         assert [Fraction(v, fact) for v in scaled] == list(sym_weights(d).sigma)
+
+
+def test_sym_weights_degree_limits():
+    with pytest.raises(ValueError):
+        sym_weights(0)
+    with pytest.raises(DeskScaleExceededError):
+        sym_weights(1001)
 
 
 def test_omega_identity_examples():
@@ -318,3 +328,33 @@ def test_nk_brute_cap():
         nk_brute(DensePoly(make_field(67), (0, 1)), k=5)
     with pytest.raises(OrderTooLargeError):
         count_hypersurface_points(DensePoly(make_field(67), (0, 1)), k=5)
+
+
+def test_map_chunks_runs_fixed_chunks_in_order_in_caller_thread():
+    calls = []
+
+    def fn(lo, hi):
+        calls.append((lo, hi, threading.get_ident()))
+        return hi - lo
+
+    assert map_chunks(fn, 10, 3) == [4, 3, 3]
+    assert [c[:2] for c in calls] == [(0, 4), (4, 7), (7, 10)]
+    assert {c[2] for c in calls} == {threading.get_ident()}
+
+
+def test_workers_share_one_table_build(monkeypatch):
+    # the chunks of one count reuse the field's log/exp tables
+    builds = []
+    build = Field._build_logexp
+
+    def counted(self):
+        builds.append(self.q)
+        return build(self)
+
+    monkeypatch.setattr(Field, "_build_logexp", counted)
+    field = make_field(2, 14)
+    f = DensePoly(field, (0, field.gen, 0, 1))
+    _, split = count_direct(f, workers=2)
+    assert builds == [field.q]
+    _, whole = count_direct(f, workers=1)
+    assert split.entries == whole.entries

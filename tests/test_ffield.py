@@ -182,13 +182,71 @@ def test_pow_additivity(p, m):
         assert f.pow(a, e1 + e2) == f.mul(f.pow(a, e1), f.pow(a, e2))
 
 
-def test_mul_agrees_with_polynomial_route():
+def schoolbook_mul(f, a, b):
+    """a * b by integer convolution, then x^k -= modulus * x^(k-m) from the top."""
+    prod = [0] * (2 * f.m - 1)
+    for i, ai in enumerate(f.coeffs(a)):
+        for j, bj in enumerate(f.coeffs(b)):
+            prod[i + j] += ai * bj
+    for k in range(len(prod) - 1, f.m - 1, -1):
+        c = prod[k]
+        for i, gi in enumerate(f.modulus):
+            prod[k - f.m + i] -= c * gi
+    return f.from_coeffs(prod[:f.m])
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 3), (5, 3), (7, 2)])
+def test_mul_agrees_with_polynomial_route(p, m):
     # table-backed multiplication vs direct polynomial reduction
-    f = make_field(3, 3)
-    rng = random.Random(27)
+    f = make_field(p, m)
+    rng = random.Random(f.q)
     for _ in range(100):
-        a, b = rng.randrange(27), rng.randrange(27)
-        assert f.mul(a, b) == f._mul_poly(a, b)
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.mul(a, b) == f._mul_poly(a, b) == schoolbook_mul(f, a, b)
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,m", [(2, m) for m in range(1, 9)]
+                         + [(3, m) for m in range(1, 6)]
+                         + [(5, m) for m in range(1, 4)] + [(7, 2)])
+def test_irreducible_count_matches_gauss(p, m):
+    # monic irreducibles of degree m: (1/m) sum_{d | m} mu(d) p^(m/d)
+    want = sum(mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    found = sum(is_irreducible([idx // p ** i % p for i in range(m)] + [1], p)
+                for idx in range(p ** m))
+    assert found == want
+
+
+# The moduli make_field's deterministic search picks.  Canonical element
+# indices, and with them every output byte, depend on these.
+GOLDEN_MODULI = {
+    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 14): (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 17): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (31, 2): (1, 0, 1),
+    (257, 2): (3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(GOLDEN_MODULI))
+def test_make_field_golden_moduli(p, m):
+    assert make_field(p, m).modulus == GOLDEN_MODULI[(p, m)]
 
 
 def test_solve_linear():

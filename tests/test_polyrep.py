@@ -279,6 +279,17 @@ def test_strict_const_chains():
         assert evaluate(prog, 5) == c
 
 
+def test_strict_one_in_extension_field():
+    # strict programs over F_9 have no ONE; it is built as gen^(q-1)
+    builder = SlpBuilder(F9, "strict")
+    prog = builder.build(builder.one())
+    assert [evaluate(prog, x0) for x0 in range(9)] == [1] * 9
+    assert parse_poly(serialize_poly(prog)) == prog
+    builder = SlpBuilder(F9, "strict")
+    prog = builder.build(builder.power(builder.x(), 0))
+    assert [evaluate(prog, x0) for x0 in range(9)] == [1] * 9
+
+
 def test_builder_power_chain():
     builder = SlpBuilder(F67, "extended")
     prog = builder.build(builder.power(builder.x(), 33))

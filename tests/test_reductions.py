@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from valueset import charsum, counting, polyrep
+from oracles import alpha_value, mux_reference, pattern_map
+
+from valueset import counting, polyrep
 from valueset.errors import (
     ClauseTooLongError,
     DeskScaleExceededError,
@@ -31,7 +33,6 @@ from valueset.reductions import (
     find_prime_above,
     gamma_image_check,
     identity_circuit,
-    mux_reference,
     parse_dimacs,
     parse_ssp,
     sat_count,
@@ -88,9 +89,8 @@ def test_build_beta_structure():
 def test_build_beta_pointwise():
     inst = SubsetSumInstance((1, 2), 3)
     beta = build_beta(inst, 67)
-    gadget = charsum.alpha_poly(67)
     for x in range(67):
-        want = (gadget.value(x) + 2 * gadget.value((x + 1) % 67) - 3) % 67
+        want = (alpha_value(67, x) + 2 * alpha_value(67, (x + 1) % 67) - 3) % 67
         assert polyrep.evaluate(beta, x) == want
 
 
@@ -112,7 +112,7 @@ def test_beta_never_zero_when_target_unreachable():
 def test_decide_examples():
     d = decide_ssp_via_root(SubsetSumInstance((1, 2), 3))
     assert d.answer and d.p == 67
-    assert charsum.pattern_map(67, 2, d.witness) == (1, 1)
+    assert pattern_map(67, 2, d.witness) == (1, 1)
     assert not decide_ssp_via_root(SubsetSumInstance((2, 3), 4)).answer
     d = decide_ssp_via_root(SubsetSumInstance((1,), 0))
     assert d.answer and d.p == 11  # empty subset; beta = alpha(x)
@@ -162,11 +162,10 @@ def test_counting_poly_matches_definition():
     f = build_counting_poly(inst, p)
     field = make_field(p)
     beta = build_beta(inst, p)
-    gadget = charsum.alpha_poly(p)
     for x in range(0, p, 7):
         bx = polyrep.evaluate(beta, x)
         indicator = field.sub(1, field.pow(bx, p - 1))
-        weight = sum(gadget.value((x + i) % p) << i for i in range(inst.t)) % p
+        weight = sum(alpha_value(p, (x + i) % p) << i for i in range(inst.t)) % p
         assert f(x) == field.mul(indicator, weight)
 
 
@@ -224,6 +223,9 @@ def test_parse_dimacs():
     assert cnf.padded == (1,)
     # clauses may span lines
     cnf = parse_dimacs("p cnf 3 1\n1\n2 3 0\n")
+    assert cnf.clauses == ((1, 2, 3),)
+    # SATLIB files end with a "%" line and a lone "0"; nothing after % is read
+    cnf = parse_dimacs("p cnf 3 1\n1 2 3 0\n%\n0\n\n")
     assert cnf.clauses == ((1, 2, 3),)
 
 

@@ -116,8 +116,6 @@ def coverage(p: int, t: int, workers: int = 1) -> PatternCoverage:
     _check_odd_prime(p)
     if not 1 <= t <= MAX_PATTERN_WIDTH:
         raise ValueError(f"t must be in [1, {MAX_PATTERN_WIDTH}]")
-    if p > ENUMERATION_CAP:
-        raise OrderTooLargeError(f"p = {p} exceeds the enumeration cap 2^26")
     table = alpha_table(p)
     ext = table + table[:t - 1] if t > 1 else table
     size = 1 << t

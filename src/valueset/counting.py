@@ -414,11 +414,9 @@ def count_hypersurface_points(f, field: Field | None = None, k: int = 2,
     return HypersurfaceCount(k=k, q=q, count=total)
 
 
-def nk_from_hypersurface(c: HypersurfaceCount, q: int | None = None,
-                         k: int | None = None) -> int:
+def nk_from_hypersurface(c: HypersurfaceCount) -> int:
     """Recover N_k = (|F_k| - q^(2k-2)) / (q^(k-2) (q-1))."""
-    q = c.q if q is None else q
-    k = c.k if k is None else k
+    q, k = c.q, c.k
     if k < 2:
         raise ValueError("k must be >= 2")
     num = c.count - q ** (2 * k - 2)

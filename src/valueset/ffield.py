@@ -250,18 +250,6 @@ class Field:
             idx = idx * self.p + c % self.p
         return idx
 
-    def scalar(self, c: int) -> int:
-        """Embed an integer as a constant field element."""
-        return c % self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     @property
     def gen(self) -> int:
         """The extension generator (the residue of x); only for m > 1."""
@@ -333,13 +321,8 @@ class Field:
         e %= self.q - 1
         if e == 0:
             return 1
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
+        return self.from_coeffs(
+            _dense_powmod(self._prime, self.coeffs(a), e, self.modulus))
 
     def _mul_poly(self, a: int, b: int) -> int:
         fp = self._prime
@@ -402,7 +385,7 @@ class Field:
                 and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
 
 
-def make_field(p: int, m: int = 1, modulus=None, require_enumerable: bool = False) -> Field:
+def make_field(p: int, m: int = 1, modulus=None) -> Field:
     """Build F_(p^m), verifying primality and finding a modulus for m > 1.
 
     The modulus search is deterministic: monic degree-m candidates are tried
@@ -415,8 +398,6 @@ def make_field(p: int, m: int = 1, modulus=None, require_enumerable: bool = Fals
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     q = p ** m
-    if require_enumerable and q > ENUMERATION_CAP:
-        raise OrderTooLargeError(f"q = {q} exceeds the enumeration cap 2^26")
     if m == 1:
         return Field(p=p, m=m, q=q, modulus=None)
     if modulus is not None:

@@ -207,23 +207,19 @@ class SlpBuilder:
         """Register holding the constant c (reduced mod p).
 
         In extended mode this is a CONST instruction.  In strict mode the
-        constant is compiled from 1 by a double-and-add chain, so the
+        constant is compiled from one() by a double-and-add chain, so the
         program stays inside the minimal instruction set.
         """
-        if self.mode == SLP_EXTENDED:
-            return self._emit(("const", c % self.field.p))
-        if self.field.m != 1:
-            raise ValueError("strict constant chains require a prime field")
         c %= self.field.p
+        if self.mode == SLP_EXTENDED:
+            return self._emit(("const", c))
         if c == 0:
-            return self._emit(("sub", 1, 1))
-        if c == 1:
-            return 1
-        reg = 1
+            return self.sub(1, 1)
+        one = reg = self.one()
         for bit in bin(c)[3:]:
-            reg = self._emit(("add", reg, reg))
+            reg = self.add(reg, reg)
             if bit == "1":
-                reg = self._emit(("add", reg, 1))
+                reg = self.add(reg, one)
         return reg
 
     def power(self, j: int, e: int) -> int:
@@ -495,9 +491,15 @@ _TOKEN_RE = re.compile(r":=|\d+(?:\.\d+)*|[A-Za-z][A-Za-z0-9_]*|[=:,+*^()]")
 
 
 def _tokenize(text: str):
-    tokens = []
+    """One (tokens, end) pair per line that holds a token.
+
+    tokens are (text, line, column) triples; end is the position just past
+    the line, where a parse that runs out of tokens reports its error.
+    """
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
+        tokens = []
         pos = 0
         for match in _TOKEN_RE.finditer(line):
             gap = line[pos:match.start()]
@@ -509,34 +511,27 @@ def _tokenize(text: str):
         if line[pos:].strip():
             raise ParseError(f"unexpected character {line[pos:].strip()[0]!r}",
                              lineno, pos + 1)
-        tokens.append((None, lineno, len(line) + 1))  # end of line marker
-    return tokens
+        if tokens:
+            lines.append((tokens, (lineno, len(line) + 1)))
+    return lines
 
 
 class _TokenStream:
-    def __init__(self, tokens, skip_newlines=True):
+    """Cursor over a token list; past its end it yields (None, *end)."""
+
+    def __init__(self, tokens, end):
         self.tokens = tokens
         self.pos = 0
-        self.skip_newlines = skip_newlines
+        self.end = (None, *end)
 
     def peek(self):
-        pos = self.pos
-        while pos < len(self.tokens):
-            tok = self.tokens[pos]
-            if tok[0] is None and self.skip_newlines:
-                pos += 1
-                continue
-            return tok
-        return (None, self.tokens[-1][1] if self.tokens else 1, 1)
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return self.end
 
     def next(self):
         tok = self.peek()
-        while self.pos < len(self.tokens):
-            cur = self.tokens[self.pos]
-            self.pos += 1
-            if cur[0] is None and self.skip_newlines:
-                continue
-            return cur
+        self.pos += 1
         return tok
 
     def expect(self, want: str):
@@ -573,8 +568,13 @@ def _format_element(field: Field, e: int) -> str:
     return ".".join(str(d) for d in field.coeffs(e))
 
 
-def _parse_header(stream: _TokenStream, end: str = ":"):
-    """Read `key=value` pairs until the `end` token (or end of input)."""
+def _parse_header(stream: _TokenStream, kind: str):
+    """Read `key=value` pairs, each key at most once.
+
+    An slp header ends with its line and may set mode=; every other header
+    ends at ':'.
+    """
+    end = None if kind == "slp" else ":"
     keys = {}
     while True:
         tok, line, col = stream.next()
@@ -583,6 +583,8 @@ def _parse_header(stream: _TokenStream, end: str = ":"):
                 raise ParseError("header not terminated by ':'", line, col)
             break
         stream.expect("=")
+        if tok in keys:
+            raise ParseError(f"repeated header key {tok!r}", line, col)
         if tok in ("p", "m"):
             val, vline, vcol = stream.next()
             keys[tok] = _parse_int(val, vline, vcol)
@@ -595,15 +597,18 @@ def _parse_header(stream: _TokenStream, end: str = ":"):
                     break
                 stream.next()
             keys["mod"] = coeffs
-        elif tok == "mode":
+        elif tok == "mode" and kind == "slp":
             val, vline, vcol = stream.next()
             if val not in (SLP_STRICT, SLP_EXTENDED):
                 raise ParseError(f"unknown mode {val!r}", vline, vcol)
             keys["mode"] = val
+        elif tok == "mode":
+            raise ParseError("mode= is only allowed in slp headers", line, col)
         else:
             raise ParseError(f"unknown header key {tok!r}", line, col)
-    if "p" not in keys:
-        raise ParseError("header is missing p=<prime>", *stream.peek()[1:])
+    if "p" not in keys:  # an slp header is its whole line: point at its start
+        where = stream.peek()[1:] if end else (line, 1)
+        raise ParseError("header is missing p=<prime>", *where)
     return keys
 
 
@@ -620,17 +625,20 @@ def _field_from_header(keys) -> Field:
 
 def parse_poly(text: str):
     """Parse the one-polynomial text format into a representation."""
-    tokens = _tokenize(text)
-    stream = _TokenStream(tokens)
+    lines = _tokenize(text)
+    # Outside slp, line breaks are whitespace; running out of tokens is
+    # reported at column 1 of the last line.
+    stream = _TokenStream([tok for tokens, _ in lines for tok in tokens],
+                          (max(len(text.splitlines()), 1), 1))
     kind, line, col = stream.next()
     if kind == "dense":
-        field = _field_from_header(_parse_header(stream))
+        field = _field_from_header(_parse_header(stream, kind))
         coeffs = []
         while not stream.at_end():
             coeffs.append(_parse_element(field, *stream.next()))
         return DensePoly(field, tuple(coeffs))
     if kind == "sparse":
-        field = _field_from_header(_parse_header(stream))
+        field = _field_from_header(_parse_header(stream, kind))
         terms = []
         while not stream.at_end():
             if terms:
@@ -642,7 +650,7 @@ def parse_poly(text: str):
             terms.append((c, _parse_int(*stream.next())))
         return SparsePoly(field, tuple(terms))
     if kind == "shift":
-        field = _field_from_header(_parse_header(stream))
+        field = _field_from_header(_parse_header(stream, kind))
         triples = []
         constant = 0
         first = True
@@ -665,24 +673,17 @@ def parse_poly(text: str):
             triples.append((a, b, _parse_int(*stream.next())))
         return SparseShiftPoly(field, tuple(triples), constant)
     if kind == "slp":
-        return _parse_slp(tokens)
+        return _parse_slp(lines)
     raise ParseError(f"unknown polynomial kind {kind!r}", line, col)
 
 
-def _parse_slp(tokens) -> Slp:
-    header_line = next(t[1] for t in tokens if t[0] is not None)
-    header = _TokenStream(
-        [t for t in tokens if t[1] == header_line], skip_newlines=False)
+def _parse_slp(lines) -> Slp:
+    """The header line, then one instruction per line, then `out r<i>`."""
+    header = _TokenStream(*lines[0])
     header.expect("slp")
-    keys = _parse_header(header, end=None)
+    keys = _parse_header(header, "slp")
     field = _field_from_header(keys)
     mode = keys.get("mode", SLP_STRICT)
-
-    lines: dict[int, list] = {}
-    for tok in tokens:
-        if tok[1] <= header_line:
-            continue
-        lines.setdefault(tok[1], []).append(tok)
 
     def reg_index(tok, line, col, limit):
         if tok is None or not re.fullmatch(r"r\d+", tok):
@@ -694,14 +695,12 @@ def _parse_slp(tokens) -> Slp:
 
     instructions: list[tuple] = []
     output = None
-    for lineno in sorted(lines):
-        ls = _TokenStream(lines[lineno], skip_newlines=False)
-        first = ls.peek()[0]
-        if first is None:
-            continue
+    for tokens, end in lines[1:]:
+        lineno = tokens[0][1]
         if output is not None:
             raise ParseError("instructions after 'out'", lineno, 1)
-        if first == "out":
+        ls = _TokenStream(tokens, end)
+        if ls.peek()[0] == "out":
             ls.next()
             output = reg_index(*ls.next(), len(instructions))
         else:

@@ -139,29 +139,49 @@ def build_beta(inst: SubsetSumInstance, p: int) -> SparseShiftPoly:
     return SparseShiftPoly(field, tuple(triples), (-inst.b) % p)
 
 
-def _alpha_registers(builder: SlpBuilder, p: int, t: int) -> list[int]:
-    """Registers holding alpha(x), ..., alpha(x+t-1), by literal powering."""
+def _weighted_sum(builder: SlpBuilder, weights, regs) -> int:
+    """Register holding sum w_i * r_i, as one const/mul/add run per term."""
+    acc = None
+    for w, reg in zip(weights, regs):
+        term = builder.mul(builder.const(w), reg)
+        acc = term if acc is None else builder.add(acc, term)
+    return acc
+
+
+def _beta_registers(builder: SlpBuilder, inst: SubsetSumInstance,
+                    p: int) -> tuple[list[int], int]:
+    """Registers holding alpha(x), ..., alpha(x+t-1), by literal powering,
+    and the register holding beta(x)."""
     x = builder.x()
     inv2 = builder.const((p + 1) // 2)
-    regs = []
-    for i in range(t):
+    alphas = []
+    for i in range(inst.t):
         xi = x if i == 0 else builder.add(x, builder.const(i))
         half = builder.power(xi, (p - 1) // 2)
         full = builder.mul(half, half)
-        regs.append(builder.mul(inv2, builder.add(half, full)))
-    return regs
+        alphas.append(builder.mul(inv2, builder.add(half, full)))
+    beta = builder.sub(_weighted_sum(builder, inst.a, alphas), builder.const(inst.b))
+    return alphas, beta
 
 
 def beta_slp(inst: SubsetSumInstance, p: int) -> Slp:
     """Extended-mode straight-line rendering of beta."""
     builder = SlpBuilder(make_field(p), polyrep.SLP_EXTENDED)
-    alphas = _alpha_registers(builder, p, inst.t)
-    acc = None
-    for ai, reg in zip(inst.a, alphas):
-        term = builder.mul(builder.const(ai), reg)
-        acc = term if acc is None else builder.add(acc, term)
-    acc = builder.sub(acc, builder.const(inst.b))
-    return builder.build(acc)
+    return builder.build(_beta_registers(builder, inst, p)[1])
+
+
+def _solution_patterns(inst: SubsetSumInstance, p: int) -> list[int]:
+    """The alpha patterns, read as bits, with sum of a_(i+1) * bit_i = b mod p."""
+    target = inst.b % p
+    hits = []
+    for pat in range(1 << inst.t):
+        s = 0
+        for i, ai in enumerate(inst.a):
+            if pat >> i & 1:
+                s += ai
+        if s % p == target:
+            hits.append(pat)
+    return hits
 
 
 def _check_gadget_scale(inst: SubsetSumInstance, p: int) -> None:
@@ -193,19 +213,8 @@ def decide_ssp_via_root(inst: SubsetSumInstance,
     p = find_prime_above(decision_prime_bound(inst), prime_policy, seed)
     _check_gadget_scale(inst, p)
     table = charsum.pattern_table(p, inst.t)
-    target = inst.b % p
-    witness = None
-    for pat in range(1 << inst.t):
-        if table.counts[pat] == 0:
-            continue
-        s = 0
-        for i, ai in enumerate(inst.a):
-            if pat >> i & 1:
-                s += ai
-        if s % p == target:
-            x = table.first_x[pat]
-            if witness is None or x < witness:
-                witness = x
+    witness = min((table.first_x[pat] for pat in _solution_patterns(inst, p)
+                   if table.counts[pat]), default=None)
     return RootDecision(instance=inst, p=p, answer=witness is not None,
                         witness=witness)
 
@@ -232,11 +241,9 @@ class CountingPoly:
         # f(x) depends on x only through its alpha pattern, so the 2^t
         # possible values are tabulated once and evaluation is two lookups.
         self._patterns = charsum.pattern_index_table(p, inst.t)
-        target = inst.b % p
-        values = []
-        for pat in range(1 << inst.t):
-            s = sum(ai for i, ai in enumerate(inst.a) if pat >> i & 1)
-            values.append(pat % p if s % p == target else 0)
+        values = [0] * (1 << inst.t)
+        for pat in _solution_patterns(inst, p):
+            values[pat] = pat % p
         self._value_by_pattern = values
 
     def __call__(self, x: int) -> int:
@@ -245,17 +252,9 @@ class CountingPoly:
     def slp(self) -> Slp:
         builder = SlpBuilder(self.field, polyrep.SLP_EXTENDED)
         inst, p = self.instance, self.p
-        alphas = _alpha_registers(builder, p, inst.t)
-        acc = None
-        for ai, reg in zip(inst.a, alphas):
-            term = builder.mul(builder.const(ai), reg)
-            acc = term if acc is None else builder.add(acc, term)
-        beta = builder.sub(acc, builder.const(inst.b))
+        alphas, beta = _beta_registers(builder, inst, p)
         indicator = builder.sub(builder.const(1), builder.power(beta, p - 1))
-        weight = None
-        for i, reg in enumerate(alphas):
-            term = builder.mul(builder.const(pow(2, i, p)), reg)
-            weight = term if weight is None else builder.add(weight, term)
+        weight = _weighted_sum(builder, [pow(2, i, p) for i in range(inst.t)], alphas)
         return builder.build(builder.mul(indicator, weight))
 
 
@@ -340,9 +339,10 @@ def parse_dimacs(text: str) -> Cnf3:
     """DIMACS CNF with every clause of length at most 3.
 
     Clauses with one or two literals are padded by repeating the last
-    literal (recorded in `padded`); longer clauses are an error.
+    literal (recorded in `padded`); longer clauses are an error.  The
+    clause count must match the `p cnf` header.
     """
-    n = None
+    n = declared = None
     tokens: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -356,7 +356,7 @@ def parse_dimacs(text: str) -> Cnf3:
                 raise ParseError(f"bad problem line {line!r}", lineno)
             try:
                 n = int(parts[2])
-                int(parts[3])
+                declared = int(parts[3])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             continue
@@ -388,6 +388,9 @@ def parse_dimacs(text: str) -> Cnf3:
             current.append(lit)
     if current:
         raise ParseError("last clause is not terminated by 0")
+    if len(clauses) != declared:
+        raise ParseError(
+            f"header declares {declared} clauses, found {len(clauses)}")
     return Cnf3(n=n, clauses=tuple(clauses), padded=tuple(padded))
 
 

@@ -92,8 +92,6 @@ def test_enumeration_cap():
     f = make_field(2, 27)
     with pytest.raises(OrderTooLargeError):
         f.elements()
-    with pytest.raises(OrderTooLargeError):
-        make_field(2, 27, require_enumerable=True)
 
 
 def test_is_prime_examples():

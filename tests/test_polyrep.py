@@ -33,6 +33,7 @@ from valueset.polyrep import (
 F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F67 = make_field(67)
 
@@ -67,6 +68,12 @@ def test_parse_error_carries_position():
         parse_poly("cubic p=5: 1 2")
     with pytest.raises(ParseError):
         parse_poly("dense q=5: 1")
+    with pytest.raises(ParseError) as err:  # mode= belongs to slp headers
+        parse_poly("dense p=5 mode=strict: 1 2")
+    assert err.value.column == 11
+    with pytest.raises(ParseError) as err:  # each header key at most once
+        parse_poly("dense p=5 p=7: 1 2")
+    assert err.value.column == 11
 
 
 def test_parse_comments_and_whitespace():
@@ -112,6 +119,8 @@ def test_slp_parse_errors():
         parse_poly("slp p=5 mode=strict\nr1 := one\nr2 := x\nr3 := const 2\nout r3")
     with pytest.raises(ParseError):  # strict programs start one, x
         parse_poly("slp p=5 mode=strict\nr1 := x\nr2 := one\nout r1")
+    with pytest.raises(ParseError):  # each header key at most once
+        parse_poly("slp p=5 mode=strict mode=extended\nr1 := one\nr2 := x\nout r2")
 
 
 @pytest.mark.parametrize("text", [
@@ -126,10 +135,51 @@ def test_slp_parse_errors():
     "slp p=5 mode=strict\nr1 := one\nr2 := x\nr3 := mul r2 r2\nout r3",
     "slp p=7 mode=extended\nr1 := x\nr2 := const 3\nr3 := sub r1 r2\nout r3",
     "slp p=3 m=2 mod=1,0,1 mode=extended\nr1 := gen\nr2 := x\nr3 := mul r1 r2\nout r3",
+    "# comment\ndense p=5\n: 1 0\n\n  # indented comment\n1 4 # tail\n",
+    "sparse p=67:\n34*x^33 +\n# between terms\n34*x^66",
+    "shift p=11: 3*(x+1)^2\n+ const 9\n",
+    "# c\nslp p=5 mode=extended # c\n\nr1 := x # c\n# c\nr2 := const 2\n"
+    "r3 := mul r1 r2\n\nout r3\n# c\n",
 ])
 def test_serialize_parse_roundtrip(text):
     f = parse_poly(text)
     assert parse_poly(serialize_poly(f)) == f
+
+
+def _sample_polys(field, rng):
+    """Zero, a constant and a random member of each representation."""
+    q = field.q
+    yield DensePoly(field, ())
+    yield DensePoly(field, (rng.randrange(1, q),))
+    yield DensePoly(field, tuple(rng.randrange(q) for _ in range(q + 2)))  # degree >= q
+    yield SparsePoly(field, ())
+    yield SparsePoly(field, ((rng.randrange(1, q), 0),))
+    yield SparsePoly(field, tuple(
+        (rng.randrange(q), rng.randrange(3 * q)) for _ in range(4)))
+    yield SparseShiftPoly(field, ())
+    yield SparseShiftPoly(field, (), rng.randrange(1, q))
+    yield SparseShiftPoly(field, tuple(
+        (rng.randrange(q), rng.randrange(q), rng.randrange(2 * q)) for _ in range(3)),
+        rng.randrange(q))
+    for mode in ("strict", "extended"):
+        builder = SlpBuilder(field, mode)
+        x = builder.x()
+        unit_reg = builder.gen() if field.m > 1 else builder.one()
+        zero, c = builder.const(0), builder.const(rng.randrange(1, field.p + 1))
+        yield builder.build(zero)
+        yield builder.build(c)
+        term = builder.mul(builder.power(x, rng.randrange(1, 2 * q)), c)
+        yield builder.build(builder.add(term, unit_reg))
+
+
+def test_serialize_parse_roundtrip_seeded():
+    for field in (F5, F67, F8, F9):
+        rng = random.Random(field.q)
+        for f in _sample_polys(field, rng):
+            g = parse_poly(serialize_poly(f))
+            assert g == f, serialize_poly(f)
+            ev_f, ev_g = evaluator(f), evaluator(g)
+            assert all(ev_g(x0) == ev_f(x0) for x0 in range(field.q))
 
 
 def test_evaluate_spec_examples():
@@ -272,11 +322,12 @@ def test_to_dense_slp_matches_eval():
 
 def test_strict_const_chains():
     rng = random.Random(67)
-    for _ in range(20):
-        c = rng.randrange(0, 67)
-        builder = SlpBuilder(F67, "strict")
-        prog = builder.build(builder.const(c))
-        assert evaluate(prog, 5) == c
+    for field in (F67, F9):  # over F_9 the chain starts from gen^8 = 1
+        for c in [0, 1, field.p - 1] + [rng.randrange(0, 67) for _ in range(20)]:
+            builder = SlpBuilder(field, "strict")
+            prog = builder.build(builder.const(c))
+            values = {evaluate(prog, x0) for x0 in range(field.q)}
+            assert values == {c % field.p}
 
 
 def test_strict_one_in_extension_field():

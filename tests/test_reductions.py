@@ -240,6 +240,10 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 1\n0\n")  # empty clause
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated
+    with pytest.raises(ParseError):
+        parse_dimacs("p cnf 3 5\n1 2 3 0\n")  # header declares five clauses
+    with pytest.raises(ParseError):
+        parse_dimacs("p cnf 3 1\n1 0\n2 3 0\n")  # a padded clause counts
 
 
 def test_dimacs_roundtrip():

@@ -220,8 +220,9 @@ class Field:
     """F_(p^m) with elements addressed by canonical integer index.
 
     Immutable and safe to share across workers; all operations are pure.
-    The multiplication tables for extension fields are built lazily and
-    cached on first use.
+    Extension fields with q <= _TABLE_CAP build log/exp tables (and, for
+    odd p, Zech logarithms for add/sub) on their first product and cache
+    them; sums taken before that run digit by digit and build nothing.
     """
 
     p: int
@@ -264,24 +265,43 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p, out, mult = self.p, 0, 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += (da + db) % p * mult
-            mult *= p
-        return out
+        tables = self._tables.get("logexp")
+        if tables is None:  # never build here: only products pay for tables
+            return self._add_digits(a, b, 1)
+        if not a:
+            return b
+        if not b:
+            return a
+        log, exp, zech = tables
+        la = log[a]
+        z = zech[(log[b] - la) % (self.q - 1)]  # a + b = a (1 + b/a)
+        return exp[la + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
+        tables = self._tables.get("logexp")
+        if tables is None:
+            return self._add_digits(a, b, -1)
+        if not b:
+            return a
+        log, exp, zech = tables
+        lb = log[b] + (self.q - 1) // 2  # -1 = g^((q-1)/2)
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[(lb - la) % (self.q - 1)]
+        return exp[la + z] if z >= 0 else 0
+
+    def _add_digits(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b digit by digit in base p."""
         p, out, mult = self.p, 0, 1
         while a or b:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
-            out += (da - db) % p * mult
+            out += (da + sign * db) % p * mult
             mult *= p
         return out
 
@@ -290,7 +310,7 @@ class Field:
             return a * b % self.p
         if a == 0 or b == 0:
             return 0
-        log, exp = self._logexp()
+        log, exp, _ = self._logexp()
         if log is not None:
             return exp[log[a] + log[b]]
         return self._mul_poly(a, b)
@@ -300,7 +320,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return pow(a, -1, self.p)
-        log, exp = self._logexp()
+        log, exp, _ = self._logexp()
         if log is not None:
             return exp[(self.q - 1 - log[a]) % (self.q - 1)]
         return self.pow(a, self.q - 2)
@@ -315,7 +335,7 @@ class Field:
             return 0
         if self.m == 1:
             return pow(a, e, self.p)
-        log, exp = self._logexp()
+        log, exp, _ = self._logexp()
         if log is not None:
             return exp[log[a] * (e % (self.q - 1)) % (self.q - 1)]
         e %= self.q - 1
@@ -332,7 +352,7 @@ class Field:
     def _logexp(self):
         """Lazy discrete-log tables keyed off a multiplicative generator."""
         if self.q > _TABLE_CAP:
-            return None, None
+            return None, None, None
         cached = self._tables.get("logexp")
         if cached is None:
             cached = self._build_logexp()
@@ -340,24 +360,64 @@ class Field:
         return cached
 
     def _build_logexp(self):
-        q = self.q
-        for g in range(2, q):
-            exp = [1] * (2 * q - 3)
-            log = [0] * q
-            x = 1
-            ok = True
-            for i in range(1, q - 1):
-                x = self._mul_poly(x, g)
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-                log[x] = i
-            if ok:
-                for i in range(q - 1, 2 * q - 3):
-                    exp[i] = exp[i - (q - 1)]
-                return log, exp
-        raise AssertionError("no multiplicative generator found; field is corrupt")
+        """Tables (log, exp, zech) for the generator g, the first element of
+        order q - 1 in trial order 2, 3, ...: exp[i] = g^i for 0 <= i < 2q - 3,
+        log[g^i] = i, and for odd p the Zech logarithms zech[n] = log(1 + g^n),
+        -1 where 1 + g^n = 0 (None for p = 2, where addition is XOR)."""
+        p, q, n = self.p, self.q, self.q - 1
+        cofactors = [n // r for r in _prime_factors(n)]
+        # Candidates below p are F_p constants, of order dividing p - 1 < q - 1.
+        for g in range(p, q):
+            if all(_dense_powmod(self._prime, self.coeffs(g), e, self.modulus) != [1]
+                   for e in cofactors):
+                break
+        else:
+            raise AssertionError("no multiplicative generator found; field is corrupt")
+        if p == 2:
+            add = int.__xor__
+        else:
+            def add(a, b):
+                return self._add_digits(a, b, 1)
+
+        def scale(c, a):
+            return self.from_coeffs(c * d for d in self.coeffs(a))
+
+        # Multiply by x: shift the digits up; the top digit t folds back as
+        # t * x^m = -t * (modulus without its lead).
+        top = q // p
+        fold = [scale(-t, self.from_coeffs(self.modulus[:-1])) for t in range(p)]
+
+        def times_x(a):
+            t, low = divmod(a, top)
+            return add(low * p, fold[t]) if t else low * p
+
+        digits = []  # g's digits, most significant first
+        while g:
+            g, d = divmod(g, p)
+            digits.insert(0, d)
+        lead, *rest = digits
+
+        exp = [1] * (2 * q - 3)
+        log = [0] * q
+        a = 1
+        for i in range(1, n):
+            r = a if lead == 1 else scale(lead, a)  # a * g by Horner's rule
+            for d in rest:
+                r = times_x(r)
+                if d:
+                    r = add(r, a if d == 1 else scale(d, a))
+            a = exp[i] = r
+            log[a] = i
+        exp[n:] = exp[:n - 1]
+        if p == 2:
+            return log, exp, None
+        zech = [-1] * n
+        for k in range(n):
+            e = exp[k]
+            one_plus = e - e % p + (e + 1) % p  # adding 1 touches only digit 0
+            if one_plus:
+                zech[k] = log[one_plus]
+        return log, exp, zech
 
     # -- enumeration ---------------------------------------------------------
 

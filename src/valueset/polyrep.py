@@ -170,6 +170,7 @@ class SlpBuilder:
         self.field = field
         self.mode = mode
         self._instrs: list[tuple] = []
+        self._one: int | None = None
         if mode == SLP_STRICT:
             self._instrs.append(("one",) if field.m == 1 else ("gen",))
             self._instrs.append(("x",))
@@ -180,8 +181,10 @@ class SlpBuilder:
 
     def one(self) -> int:
         if self.mode == SLP_STRICT:
-            # Strict extension programs have no ONE: gen^(q-1) = 1.
-            return 1 if self.field.m == 1 else self.power(1, self.field.q - 1)
+            # Strict extension programs have no ONE: gen^(q-1) = 1, built once.
+            if self._one is None:
+                self._one = 1 if self.field.m == 1 else self.power(1, self.field.q - 1)
+            return self._one
         return self._emit(("one",))
 
     def x(self) -> int:

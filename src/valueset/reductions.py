@@ -339,8 +339,8 @@ def parse_dimacs(text: str) -> Cnf3:
     """DIMACS CNF with every clause of length at most 3.
 
     Clauses with one or two literals are padded by repeating the last
-    literal (recorded in `padded`); longer clauses are an error.  The
-    clause count must match the `p cnf` header.
+    literal (recorded in `padded`); longer clauses are an error.  There is
+    one `p cnf` header, and the clause count must match it.
     """
     n = declared = None
     tokens: list[str] = []
@@ -351,6 +351,8 @@ def parse_dimacs(text: str) -> Cnf3:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise ParseError("repeated problem line", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)

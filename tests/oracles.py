@@ -59,3 +59,32 @@ def newton_reciprocal(d: int) -> SymWeights:
         Lk *= L
         sigma.append(Fraction(G[k], fact * Lk))
     return SymWeights(d, tuple(sigma))
+
+
+def logexp_reference(field) -> tuple[list[int], list[int]]:
+    """Log/exp tables by trial multiplication: powers of g = 2, 3, ... are
+    multiplied out through F_p[x] until one has order q - 1."""
+    q = field.q
+    for g in range(2, q):
+        exp = [1] * (2 * q - 3)
+        log = [0] * q
+        x = 1
+        ok = True
+        for i in range(1, q - 1):
+            x = field._mul_poly(x, g)
+            if x == 1:
+                ok = False
+                break
+            exp[i] = x
+            log[x] = i
+        if ok:
+            for i in range(q - 1, 2 * q - 3):
+                exp[i] = exp[i - (q - 1)]
+            return log, exp
+    raise AssertionError("no multiplicative generator found; field is corrupt")
+
+
+def add_reference(field, a: int, b: int, sign: int = 1) -> int:
+    """a + sign * b coefficient by coefficient over F_p."""
+    return field.from_coeffs(
+        x + sign * y for x, y in zip(field.coeffs(a), field.coeffs(b)))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import add_reference, logexp_reference
 from valueset.errors import (
     NotMonicError,
     NotPrimeError,
@@ -201,6 +202,44 @@ def test_mul_agrees_with_polynomial_route(p, m):
     for _ in range(100):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
         assert f.mul(a, b) == f._mul_poly(a, b) == schoolbook_mul(f, a, b)
+
+
+# x is primitive modulo the make_field modulus for (2, 13), (3, 6), (5, 6);
+# the tables of the others start from a later generator.
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 12), (2, 13), (3, 2), (3, 6), (5, 3),
+                                 (5, 6), (7, 3), (13, 2), (31, 2)])
+def test_logexp_matches_trial_multiplication(p, m):
+    f = make_field(p, m)
+    log, exp, zech = f._build_logexp()
+    assert (log, exp) == logexp_reference(f)
+    assert (exp[1] == f.gen) == ((p, m) in {(2, 13), (3, 6), (5, 6)})
+    assert (zech is None) == (p == 2)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3), (3, 6), (31, 2), (5, 6)])
+def test_zech_add_sub_match_digit_oracle(p, m):
+    f = make_field(p, m)
+    f.mul(1, 1)  # builds log/exp/Zech tables
+    rng = random.Random(f.q)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(300)]
+    pairs += [(0, 0), (0, 1), (1, 0), (0, f.q - 1), (f.q - 1, 0)]
+    for a, b in pairs:
+        assert f.add(a, b) == add_reference(f, a, b)
+        assert f.sub(a, b) == add_reference(f, a, b, -1)
+        assert f.sub(0, b) == add_reference(f, 0, b, -1)
+        assert f.add(a, f.sub(0, a)) == 0 == f.sub(a, a)
+
+
+def test_add_sub_leave_tables_unbuilt():
+    f = make_field(5, 3)
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.add(a, b) == add_reference(f, a, b)
+        assert f.sub(a, b) == add_reference(f, a, b, -1)
+    assert f._tables == {}
+    f.mul(1, 1)
+    assert f._tables
 
 
 def mobius(n):

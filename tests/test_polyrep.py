@@ -328,6 +328,16 @@ def test_strict_const_chains():
             prog = builder.build(builder.const(c))
             values = {evaluate(prog, x0) for x0 in range(field.q)}
             assert values == {c % field.p}
+    # One builder, many constants: gen^(q-1) is emitted once and reused.
+    builder = SlpBuilder(F9, "strict")
+    one = builder.one()
+    size = len(builder._instrs)
+    assert builder.one() == one and len(builder._instrs) == size
+    regs = [(c, builder.const(c)) for c in (0, 1, 2, 2, 1)]
+    assert len(builder._instrs) == size + 3  # sub 1 1, then add one one twice
+    for c, reg in regs:
+        prog = builder.build(reg)
+        assert [evaluate(prog, x0) for x0 in range(9)] == [c] * 9
 
 
 def test_strict_one_in_extension_field():

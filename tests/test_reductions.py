@@ -244,6 +244,8 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 3 5\n1 2 3 0\n")  # header declares five clauses
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 3 1\n1 0\n2 3 0\n")  # a padded clause counts
+    with pytest.raises(ParseError):
+        parse_dimacs("p cnf 3 1\n1 2 5 0\np cnf 5 1\n")  # a second header
 
 
 def test_dimacs_roundtrip():

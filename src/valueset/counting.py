@@ -30,6 +30,7 @@ from .ffield import (
     ENUMERATION_CAP,
     Field,
     _dense_gcd,
+    _dense_monic,
     _dense_powmod,
     _dense_sub,
     _dense_trim,
@@ -202,6 +203,7 @@ def _has_root(field: Field, g: list[int]) -> bool:
     """
     if len(g) <= 1:
         return not g
+    g = _dense_monic(field, g)  # same roots; every _dense_mod by it skips 1/lead
     r = _dense_sub(field, _dense_powmod(field, [0, 1], field.q, g), [0, 1])
     return not r or len(_dense_gcd(field, g, r)) - 1 >= 1
 

@@ -10,7 +10,11 @@ arithmetic; indices from different fields must not be mixed.
 from __future__ import annotations
 
 import random
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, partial
+from operator import xor
 
 from .errors import (
     NotMonicError,
@@ -126,23 +130,32 @@ def _dense_mod(field: Field, a: list[int], g: list[int]) -> list[int]:
         raise ZeroDivisionError("polynomial modulus is zero")
     a = list(a)
     dg = len(g) - 1
+    low = g[:-1]
+    monic = g[-1] == 1
     if field.m == 1:
         p = field.p
-        inv_lead = pow(g[-1], -1, p)
-        while _dense_trim(a) and len(a) - 1 >= dg:
-            coef = a[-1] * inv_lead % p
-            shift = len(a) - 1 - dg
-            for i, gi in enumerate(g):
-                a[shift + i] = (a[shift + i] - coef * gi) % p
+        inv_lead = 1 if monic else pow(g[-1], -1, p)
+        while _dense_trim(a) and len(a) > dg:
+            coef = a.pop() * inv_lead % p  # the top term cancels
+            for i, gi in enumerate(low, len(a) - dg):
+                a[i] = (a[i] - coef * gi) % p
         return a
-    inv_lead = field.inv(g[-1])
+    inv_lead = 1 if monic else field.inv(g[-1])
     mul, sub = field.mul, field.sub
-    while _dense_trim(a) and len(a) - 1 >= dg:
-        coef = mul(a[-1], inv_lead)
-        shift = len(a) - 1 - dg
-        for i, gi in enumerate(g):
-            a[shift + i] = sub(a[shift + i], mul(coef, gi))
+    while _dense_trim(a) and len(a) > dg:
+        coef = a.pop() if monic else mul(a.pop(), inv_lead)
+        for i, gi in enumerate(low, len(a) - dg):
+            if gi:
+                a[i] = sub(a[i], mul(coef, gi))
     return a
+
+
+def _dense_monic(field: Field, a: list[int]) -> list[int]:
+    """a (nonzero) divided by its leading coefficient."""
+    if a[-1] == 1:
+        return a
+    inv, mul = field.inv(a[-1]), field.mul
+    return [mul(c, inv) for c in a]
 
 
 def _dense_pow(field: Field, base: list[int], e: int) -> list[int]:
@@ -172,10 +185,7 @@ def _dense_gcd(field: Field, a: list[int], b: list[int]) -> list[int]:
     a, b = list(a), list(b)
     while b:
         a, b = b, _dense_mod(field, a, b)
-    if a:
-        inv = field.inv(a[-1])
-        a = [field.mul(c, inv) for c in a]
-    return a
+    return _dense_monic(field, a) if a else a
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -215,14 +225,200 @@ def is_irreducible(poly: list[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _add_digits(p: int, sign: int, a: int, b: int) -> int:
+    """a + sign * b digit by digit in base p."""
+    out, mult = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + sign * db) % p * mult
+        mult *= p
+    return out
+
+
+@lru_cache(maxsize=256)
+def _prime_ops(p: int):
+    """add, sub, mul, inv, pow in F_p, shared by every F_p object."""
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, p)
+
+    def power(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        return pow(a, e, p)  # pow(0, 0, p) == 1
+
+    return add, sub, mul, inv, power
+
+
+def _table_ops(field: Field):
+    """add, sub, mul, inv, pow in F_(p^m), q <= _TABLE_CAP, by log/exp tables.
+
+    The tables are built by the first product (or inverse or power) and
+    kept in the closures' own cells, so an operation bound before the
+    build sees them after it.  Sums before the build run digit by digit.
+    """
+    p, m, q, modulus, tables = field.p, field.m, field.q, field.modulus, field._tables
+    n = q - 1
+    half = n // 2  # log(-1) for odd p
+    log = exp = zech = None
+
+    def load():
+        nonlocal log, exp, zech
+        # Field._build_logexp is looked up at call time, on a fresh equal
+        # field: the closures then hold no reference back to `field`, whose
+        # tables go with its last reference.  They are kept as arrays of C
+        # ints, about a seventh of the memory of lists of int objects.
+        # Products test exp and sums zech, stored after log, so no caller
+        # sees a part-set trio.
+        built = Field(p, m, q, modulus)._build_logexp()
+        log, exp, zech = tables["logexp"] = tuple(
+            None if t is None else array("i", t) for t in built)
+
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        if exp is None:
+            load()
+        return exp[log[a] + log[b]]
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        if exp is None:
+            load()
+        return exp[n - log[a]]
+
+    def power(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if not e:
+            return 1
+        if not a:
+            return 0
+        if exp is None:
+            load()
+        return exp[log[a] * (e % n) % n]
+
+    if p == 2:
+        return xor, xor, mul, inv, power
+
+    def add(a, b):
+        if zech is None:  # never build here: only products pay for tables
+            return _add_digits(p, 1, a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = zech[(log[b] - la) % n]  # a + b = a (1 + b/a)
+        return exp[la + z] if z >= 0 else 0
+
+    def sub(a, b):
+        if zech is None:
+            return _add_digits(p, -1, a, b)
+        if not b:
+            return a
+        lb = log[b] + half
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[(lb - la) % n]
+        return exp[la + z] if z >= 0 else 0
+
+    return add, sub, mul, inv, power
+
+
+def _poly_ops(field: Field):
+    """add, sub, mul, inv, pow in F_(p^m) above _TABLE_CAP.
+
+    A product packs the base-p digits of both factors w bits apart
+    (Kronecker substitution), multiplies the two integers, folds the
+    coefficients of x^m..x^(2m-2) back through the precomputed rows
+    x^k mod modulus, and reads the m low coefficients mod p.  w is wide
+    enough for the largest coefficient that folding can produce.
+    """
+    p, m, n = field.p, field.m, field.q - 1
+    rows = [[-c % p for c in field.modulus[:-1]]]  # x^m = -(modulus without its lead)
+    for _ in range(m - 2):  # x^(k+1) = x * x^k, the top digit folds back
+        top = rows[-1][-1]
+        rows.append([(lo + top * r0) % p for lo, r0 in zip([0] + rows[-1][:-1], rows[0])])
+    w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
+    mask = (1 << w) - 1
+    low_mask = (1 << w * m) - 1
+    shifts = [w * i for i in range(m)]
+    folds = [(sum(r << s for r, s in zip(row, shifts)), w * (m + k))
+             for k, row in enumerate(rows)]
+    top_first = shifts[::-1]
+
+    def mul(a, b):
+        if not a or not b:
+            return 0
+        pa = pb = 0
+        for s in shifts:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            pa |= da << s
+            pb |= db << s
+        prod = pa * pb
+        low = prod & low_mask
+        for row, s in folds:
+            low += (prod >> s & mask) * row
+        out = 0
+        for s in top_first:
+            out = out * p + (low >> s & mask) % p
+        return out
+
+    def power(a, e):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if not e:
+            return 1
+        if not a:
+            return 0
+        e %= n
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return out
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return power(a, n - 1)
+
+    if p == 2:
+        return xor, xor, mul, inv, power
+    return partial(_add_digits, p, 1), partial(_add_digits, p, -1), mul, inv, power
+
+
+@dataclass(frozen=True, slots=True)
 class Field:
     """F_(p^m) with elements addressed by canonical integer index.
 
     Immutable and safe to share across workers; all operations are pure.
-    Extension fields with q <= _TABLE_CAP build log/exp tables (and, for
-    odd p, Zech logarithms for add/sub) on their first product and cache
-    them; sums taken before that run digit by digit and build nothing.
+    add, sub, mul, inv and pow(a, e) (with 0**0 == 1) are functions chosen
+    once, at construction, for the field's shape: % p in a prime field;
+    log/exp tables for extension fields with q <= _TABLE_CAP, XOR sums for
+    p = 2 and Zech logarithms for odd p, the tables built on the first
+    product (sums taken before that run digit by digit and build nothing);
+    above the cap a packed-integer product reduced by precomputed rows and
+    digit-wise sums.
     """
 
     p: int
@@ -230,10 +426,22 @@ class Field:
     q: int
     modulus: tuple[int, ...] | None  # monic, little-endian, length m+1; None iff m == 1
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # Set by __post_init__: the coefficient field F_p (m > 1) and the ops.
+    _prime: Field = dc_field(init=False, repr=False, compare=False)
+    add: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
+    sub: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
+    mul: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
+    inv: Callable[[int], int] = dc_field(init=False, repr=False, compare=False)
+    pow: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m > 1:  # F_p, the coefficient field of the modulus, built once
+        if self.m == 1:
+            ops = _prime_ops(self.p)
+        else:
             object.__setattr__(self, "_prime", Field(self.p, 1, self.p, None))
+            ops = (_table_ops if self.q <= _TABLE_CAP else _poly_ops)(self)
+        for name, op in zip(("add", "sub", "mul", "inv", "pow"), ops):
+            object.__setattr__(self, name, op)
 
     # -- element construction ------------------------------------------------
 
@@ -258,107 +466,6 @@ class Field:
             raise ValueError("prime field has no extension generator")
         return self.p
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        tables = self._tables.get("logexp")
-        if tables is None:  # never build here: only products pay for tables
-            return self._add_digits(a, b, 1)
-        if not a:
-            return b
-        if not b:
-            return a
-        log, exp, zech = tables
-        la = log[a]
-        z = zech[(log[b] - la) % (self.q - 1)]  # a + b = a (1 + b/a)
-        return exp[la + z] if z >= 0 else 0
-
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        tables = self._tables.get("logexp")
-        if tables is None:
-            return self._add_digits(a, b, -1)
-        if not b:
-            return a
-        log, exp, zech = tables
-        lb = log[b] + (self.q - 1) // 2  # -1 = g^((q-1)/2)
-        if not a:
-            return exp[lb]
-        la = log[a]
-        z = zech[(lb - la) % (self.q - 1)]
-        return exp[la + z] if z >= 0 else 0
-
-    def _add_digits(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b digit by digit in base p."""
-        p, out, mult = self.p, 0, 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += (da + sign * db) % p * mult
-            mult *= p
-        return out
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        log, exp, _ = self._logexp()
-        if log is not None:
-            return exp[log[a] + log[b]]
-        return self._mul_poly(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        log, exp, _ = self._logexp()
-        if log is not None:
-            return exp[(self.q - 1 - log[a]) % (self.q - 1)]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with the convention 0**0 == 1; e is a nonnegative big integer."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        if self.m == 1:
-            return pow(a, e, self.p)
-        log, exp, _ = self._logexp()
-        if log is not None:
-            return exp[log[a] * (e % (self.q - 1)) % (self.q - 1)]
-        e %= self.q - 1
-        if e == 0:
-            return 1
-        return self.from_coeffs(
-            _dense_powmod(self._prime, self.coeffs(a), e, self.modulus))
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        fp = self._prime
-        prod = _dense_mul(fp, self.coeffs(a), self.coeffs(b))
-        return self.from_coeffs(_dense_mod(fp, prod, self.modulus))
-
-    def _logexp(self):
-        """Lazy discrete-log tables keyed off a multiplicative generator."""
-        if self.q > _TABLE_CAP:
-            return None, None, None
-        cached = self._tables.get("logexp")
-        if cached is None:
-            cached = self._build_logexp()
-            self._tables["logexp"] = cached
-        return cached
-
     def _build_logexp(self):
         """Tables (log, exp, zech) for the generator g, the first element of
         order q - 1 in trial order 2, 3, ...: exp[i] = g^i for 0 <= i < 2q - 3,
@@ -373,11 +480,7 @@ class Field:
                 break
         else:
             raise AssertionError("no multiplicative generator found; field is corrupt")
-        if p == 2:
-            add = int.__xor__
-        else:
-            def add(a, b):
-                return self._add_digits(a, b, 1)
+        add = xor if p == 2 else partial(_add_digits, p, 1)
 
         def scale(c, a):
             return self.from_coeffs(c * d for d in self.coeffs(a))
@@ -399,6 +502,7 @@ class Field:
 
         exp = [1] * (2 * q - 3)
         log = [0] * q
+        ints = list(range(q))  # one int object per value, shared by log and exp
         a = 1
         for i in range(1, n):
             r = a if lead == 1 else scale(lead, a)  # a * g by Horner's rule
@@ -406,8 +510,8 @@ class Field:
                 r = times_x(r)
                 if d:
                     r = add(r, a if d == 1 else scale(d, a))
-            a = exp[i] = r
-            log[a] = i
+            a = exp[i] = ints[r]
+            log[a] = ints[i]
         exp[n:] = exp[:n - 1]
         if p == 2:
             return log, exp, None

@@ -288,12 +288,12 @@ def evaluator(f):
         return eval_dense_ext
     if isinstance(f, SparsePoly):
         terms = reduce_exponents(f).terms
-        add, powf = field.add, field.pow
+        add, mul, powf = field.add, field.mul, field.pow
 
         def eval_sparse(x, _terms=terms):
             acc = 0
             for c, e in _terms:
-                acc = add(acc, field.mul(c, powf(x, e)))
+                acc = add(acc, mul(c, powf(x, e)))
             return acc
 
         return eval_sparse
@@ -497,7 +497,8 @@ def _tokenize(text: str):
     """One (tokens, end) pair per line that holds a token.
 
     tokens are (text, line, column) triples; end is the position just past
-    the line, where a parse that runs out of tokens reports its error.
+    the line's last token, where a parse that runs out of tokens reports
+    its error.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -515,7 +516,7 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {line[pos:].strip()[0]!r}",
                              lineno, pos + 1)
         if tokens:
-            lines.append((tokens, (lineno, len(line) + 1)))
+            lines.append((tokens, (lineno, pos + 1)))
     return lines
 
 
@@ -540,22 +541,26 @@ class _TokenStream:
     def expect(self, want: str):
         tok, line, col = self.next()
         if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", line, col)
+            raise ParseError(f"expected {want!r}, found {_found(tok)}", line, col)
         return tok
 
     def at_end(self) -> bool:
         return self.peek()[0] is None
 
 
+def _found(tok) -> str:
+    return "end of input" if tok is None else repr(tok)
+
+
 def _parse_int(tok, line, col) -> int:
     if tok is None or not tok.isdigit():
-        raise ParseError(f"expected an integer, found {tok!r}", line, col)
+        raise ParseError(f"expected an integer, found {_found(tok)}", line, col)
     return int(tok)
 
 
 def _parse_element(field: Field, tok, line, col) -> int:
     if tok is None or not re.fullmatch(r"\d+(?:\.\d+)*", tok):
-        raise ParseError(f"expected a field element, found {tok!r}", line, col)
+        raise ParseError(f"expected a field element, found {_found(tok)}", line, col)
     digits = [int(d) for d in tok.split(".")]
     if len(digits) > field.m:
         raise FieldMismatchError(
@@ -630,9 +635,9 @@ def parse_poly(text: str):
     """Parse the one-polynomial text format into a representation."""
     lines = _tokenize(text)
     # Outside slp, line breaks are whitespace; running out of tokens is
-    # reported at column 1 of the last line.
+    # reported just past the last token.
     stream = _TokenStream([tok for tokens, _ in lines for tok in tokens],
-                          (max(len(text.splitlines()), 1), 1))
+                          lines[-1][1] if lines else (1, 1))
     kind, line, col = stream.next()
     if kind == "dense":
         field = _field_from_header(_parse_header(stream, kind))
@@ -690,7 +695,7 @@ def _parse_slp(lines) -> Slp:
 
     def reg_index(tok, line, col, limit):
         if tok is None or not re.fullmatch(r"r\d+", tok):
-            raise ParseError(f"expected a register, found {tok!r}", line, col)
+            raise ParseError(f"expected a register, found {_found(tok)}", line, col)
         idx = int(tok[1:])
         if not 1 <= idx <= limit:
             raise ParseError(f"register {tok} out of range", line, col)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from valueset.charsum import chi
 from valueset.counting import SymWeights
 from valueset.errors import NonIntegralResultError
+from valueset.ffield import _dense_mod, _dense_mul
 
 
 def alpha_value(p: int, x: int) -> int:
@@ -61,6 +62,14 @@ def newton_reciprocal(d: int) -> SymWeights:
     return SymWeights(d, tuple(sigma))
 
 
+def mul_poly_reference(field, a: int, b: int) -> int:
+    """a * b in F_(p^m) through F_p[x]: multiply the coefficient vectors,
+    then reduce by the modulus."""
+    fp = field._prime
+    prod = _dense_mul(fp, list(field.coeffs(a)), list(field.coeffs(b)))
+    return field.from_coeffs(_dense_mod(fp, prod, list(field.modulus)))
+
+
 def logexp_reference(field) -> tuple[list[int], list[int]]:
     """Log/exp tables by trial multiplication: powers of g = 2, 3, ... are
     multiplied out through F_p[x] until one has order q - 1."""
@@ -71,7 +80,7 @@ def logexp_reference(field) -> tuple[list[int], list[int]]:
         x = 1
         ok = True
         for i in range(1, q - 1):
-            x = field._mul_poly(x, g)
+            x = mul_poly_reference(field, x, g)
             if x == 1:
                 ok = False
                 break

@@ -43,6 +43,31 @@ def test_field_table_build_hook():
     assert isinstance(ffield._TABLE_CAP, int)
 
 
+@pytest.mark.parametrize("p,m", [(7, 1), (3, 4), (257, 2)],
+                         ids=["prime", "table", "above-cap"])
+def test_field_ops_are_bound_callables(p, m):
+    # bench/replay.py times getattr(field, op) on the workload's fields
+    field = ffield.make_field(p, m)
+    for op in ("add", "mul", "pow"):
+        assert callable(getattr(field, op))
+
+
+def test_first_product_calls_patched_table_build(monkeypatch):
+    # bench/run.py patches the class after some fields already exist
+    field = ffield.make_field(3, 4)
+    calls = []
+    build = ffield.Field._build_logexp
+
+    def traced(self):
+        calls.append(self.q)
+        return build(self)
+
+    monkeypatch.setattr(ffield.Field, "_build_logexp", traced)
+    field.mul(1, 1)
+    field.mul(2, 3)
+    assert calls == [81]
+
+
 def test_charsum_tables_are_caches():
     # Each pass starts from cold caches and reads hits and misses back.
     for name in ("alpha_table", "pattern_table", "pattern_index_table"):

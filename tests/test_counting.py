@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import newton_reciprocal
+from samples import sample_polys
 
 from valueset.counting import (
     HypersurfaceCount,
@@ -358,3 +359,21 @@ def test_workers_share_one_table_build(monkeypatch):
     assert builds == [field.q]
     _, whole = count_direct(f, workers=1)
     assert split.entries == whole.entries
+
+
+# Prime fields, odd p with m > 1 and p = 2, all with q <= 49.
+@pytest.mark.parametrize("p,m", [(5, 1), (13, 1), (47, 1), (3, 2), (5, 2), (3, 3),
+                                 (7, 2), (2, 2), (2, 3), (2, 5)])
+def test_methods_agree_on_seeded_samples(p, m):
+    # every representation, zero, constants and degree >= q: direct,
+    # codomain and symmetric agree, and so do histogram and brute N_k
+    field = make_field(p, m)
+    rng = random.Random(f"methods:{p}:{m}")
+    top_k = max(k for k in (1, 2, 3) if field.q ** k <= 4096)
+    for _ in range(3):
+        for f in sample_polys(field, rng):
+            report, hist = count_direct(f)
+            for method in ("codomain", "symmetric"):
+                assert count_value_set(f, method=method).cardinality == report.cardinality, f
+            assert nk_from_histogram(hist, top_k).counts == tuple(
+                nk_brute(f, k=k) for k in range(1, top_k + 1)), f

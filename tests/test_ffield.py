@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import add_reference, logexp_reference
+from oracles import add_reference, logexp_reference, mul_poly_reference
 from valueset.errors import (
     NotMonicError,
     NotPrimeError,
@@ -74,10 +74,17 @@ def test_lagrange(p, m):
 
 
 def test_pow_zero_conventions():
-    f = make_field(7)
-    assert f.pow(0, 0) == 1
-    assert f.pow(3, 0) == 1
-    assert f.pow(0, 12) == 0
+    # one field of each arithmetic shape: prime, p = 2 and odd p with
+    # log/exp tables, and above _TABLE_CAP
+    for p, m in [(7, 1), (2, 4), (3, 2), (257, 2)]:
+        f = make_field(p, m)
+        assert f.pow(0, 0) == 1
+        assert f.pow(3, 0) == 1
+        assert f.pow(0, 12) == 0
+        with pytest.raises(ValueError):
+            f.pow(3, -1)
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
 
 
 def test_enumerate_small_fields():
@@ -194,14 +201,20 @@ def schoolbook_mul(f, a, b):
     return f.from_coeffs(prod[:f.m])
 
 
-@pytest.mark.parametrize("p,m", [(2, 8), (3, 3), (5, 3), (7, 2)])
+# Extension fields above _TABLE_CAP: packed products and digit-wise sums.
+ABOVE_CAP = [(2, 17), (3, 11), (5, 7), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 3), (5, 3), (7, 2)] + ABOVE_CAP)
 def test_mul_agrees_with_polynomial_route(p, m):
-    # table-backed multiplication vs direct polynomial reduction
+    # table-backed or packed multiplication vs direct polynomial reduction
     f = make_field(p, m)
     rng = random.Random(f.q)
     for _ in range(100):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
-        assert f.mul(a, b) == f._mul_poly(a, b) == schoolbook_mul(f, a, b)
+        assert f.mul(a, b) == mul_poly_reference(f, a, b) == schoolbook_mul(f, a, b)
+    top = f.q - 1  # every digit p - 1: the largest packed coefficients
+    assert f.mul(top, top) == mul_poly_reference(f, top, top)
 
 
 # x is primitive modulo the make_field modulus for (2, 13), (3, 6), (5, 6);
@@ -216,7 +229,8 @@ def test_logexp_matches_trial_multiplication(p, m):
     assert (zech is None) == (p == 2)
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3), (3, 6), (31, 2), (5, 6)])
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3), (3, 6), (31, 2), (5, 6)]
+                         + ABOVE_CAP)
 def test_zech_add_sub_match_digit_oracle(p, m):
     f = make_field(p, m)
     f.mul(1, 1)  # builds log/exp/Zech tables
@@ -239,6 +253,21 @@ def test_add_sub_leave_tables_unbuilt():
         assert f.sub(a, b) == add_reference(f, a, b, -1)
     assert f._tables == {}
     f.mul(1, 1)
+    assert f._tables
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (5, 3)])
+def test_ops_bound_before_first_product_see_tables(p, m):
+    # evaluators bind field.add/field.mul once; the tables arrive later
+    f = make_field(p, m)
+    add, sub, mul = f.add, f.sub, f.mul
+    assert f._tables == {}
+    rng = random.Random(p)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(100)]
+    for a, b in pairs:
+        assert mul(a, b) == mul_poly_reference(f, a, b)
+        assert add(a, b) == add_reference(f, a, b)
+        assert sub(a, b) == add_reference(f, a, b, -1)
     assert f._tables
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from samples import sample_polys
 
 from valueset.errors import (
     DegreeCapExceededError,
@@ -74,6 +75,17 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:  # each header key at most once
         parse_poly("dense p=5 p=7: 1 2")
     assert err.value.column == 11
+    # input that runs out of tokens is reported just past its last token
+    for text, where, message in [
+            ("sparse p=7: 3*x^2 + 5", (1, 22), "expected '*', found end of input"),
+            ("sparse p=7: 3*x^2 +  # comment", (1, 20), "found end of input"),
+            ("shift p=11: 3*(x+1)^2 + const", (1, 30), "found end of input"),
+            ("shift p=11:\n3*(x+1\n\n", (2, 7), "expected ')', found end of input"),
+            ("dense p=5", (1, 10), "header not terminated by ':'")]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (err.value.line, err.value.column) == where, text
+        assert message in str(err.value), text
 
 
 def test_parse_comments_and_whitespace():
@@ -146,36 +158,10 @@ def test_serialize_parse_roundtrip(text):
     assert parse_poly(serialize_poly(f)) == f
 
 
-def _sample_polys(field, rng):
-    """Zero, a constant and a random member of each representation."""
-    q = field.q
-    yield DensePoly(field, ())
-    yield DensePoly(field, (rng.randrange(1, q),))
-    yield DensePoly(field, tuple(rng.randrange(q) for _ in range(q + 2)))  # degree >= q
-    yield SparsePoly(field, ())
-    yield SparsePoly(field, ((rng.randrange(1, q), 0),))
-    yield SparsePoly(field, tuple(
-        (rng.randrange(q), rng.randrange(3 * q)) for _ in range(4)))
-    yield SparseShiftPoly(field, ())
-    yield SparseShiftPoly(field, (), rng.randrange(1, q))
-    yield SparseShiftPoly(field, tuple(
-        (rng.randrange(q), rng.randrange(q), rng.randrange(2 * q)) for _ in range(3)),
-        rng.randrange(q))
-    for mode in ("strict", "extended"):
-        builder = SlpBuilder(field, mode)
-        x = builder.x()
-        unit_reg = builder.gen() if field.m > 1 else builder.one()
-        zero, c = builder.const(0), builder.const(rng.randrange(1, field.p + 1))
-        yield builder.build(zero)
-        yield builder.build(c)
-        term = builder.mul(builder.power(x, rng.randrange(1, 2 * q)), c)
-        yield builder.build(builder.add(term, unit_reg))
-
-
 def test_serialize_parse_roundtrip_seeded():
     for field in (F5, F67, F8, F9):
         rng = random.Random(field.q)
-        for f in _sample_polys(field, rng):
+        for f in sample_polys(field, rng):
             g = parse_poly(serialize_poly(f))
             assert g == f, serialize_poly(f)
             ev_f, ev_g = evaluator(f), evaluator(g)

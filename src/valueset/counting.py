@@ -26,15 +26,7 @@ from .errors import (
     OrderTooLargeError,
     ZeroPolynomialError,
 )
-from .ffield import (
-    ENUMERATION_CAP,
-    Field,
-    _dense_gcd,
-    _dense_monic,
-    _dense_powmod,
-    _dense_sub,
-    _dense_trim,
-)
+from .ffield import ENUMERATION_CAP, Field, _dense_monic, root_test
 from .parallel import map_chunks, merge_counters
 from .polyrep import DensePoly, PolyInput, SparsePoly
 
@@ -196,23 +188,13 @@ def count_direct(f, field: Field | None = None, workers: int = 1):
     return report, histogram
 
 
-def _has_root(field: Field, g: list[int]) -> bool:
-    """Root test on a trimmed coefficient list: gcd(x^q - x mod g, g) != 1.
-
-    The zero list vanishes everywhere and a nonzero constant nowhere.
-    """
-    if len(g) <= 1:
-        return not g
-    g = _dense_monic(field, g)  # same roots; every _dense_mod by it skips 1/lead
-    r = _dense_sub(field, _dense_powmod(field, [0, 1], field.q, g), [0, 1])
-    return not r or len(_dense_gcd(field, g, r)) - 1 >= 1
-
-
 def has_root(g: DensePoly) -> bool:
     """True iff g has a root in F_q, via gcd(x^q - x mod g, g)."""
     if g.is_zero():
         raise ZeroPolynomialError("every point is a root of the zero polynomial")
-    return _has_root(g.field, list(g.coeffs))
+    if not g.degree:
+        return False
+    return root_test(g.field, g.degree)(_dense_monic(g.field, list(g.coeffs)))
 
 
 def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
@@ -227,19 +209,24 @@ def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
     field = f.field
     q = field.q
     _check_enumerable(q)
-    coeffs = list(f.coeffs)
-
-    def work(lo, hi):
-        count = 0
-        for a in range(lo, hi):
-            g = list(coeffs) if coeffs else [0]
-            g[0] = field.sub(g[0], a)
-            # f - a == 0 (f is the constant a) counts as a hit
-            count += _has_root(field, _dense_trim(g))
-        return count
-
-    cardinality = sum(map_chunks(work, q, workers))
     d = f.degree
+    if not d:  # a constant c: f - a has a root (vanishes) for a = c alone
+        cardinality = 1
+    else:
+        # f - a and f/lead - a/lead have the same roots, and a/lead runs
+        # over F_q as a does: count over the monic f, one test per count.
+        monic = _dense_monic(field, list(f.coeffs))
+        test, sub, c0 = root_test(field, d), field.sub, monic[0]
+
+        def work(lo, hi):
+            count = 0
+            g = list(monic)
+            for a in range(lo, hi):
+                g[0] = sub(c0, a)
+                count += test(g)
+            return count
+
+        cardinality = sum(map_chunks(work, q, workers))
     _assert_bounds(cardinality, q, d)
     return ValueSetReport(
         cardinality=cardinality, method="codomain", q=q, d=d,

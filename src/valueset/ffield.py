@@ -340,6 +340,17 @@ def _table_ops(field: Field):
     return add, sub, mul, inv, power
 
 
+def _reduction_rows(p: int, modulus, count: int) -> list[list[int]]:
+    """Digits of x^m, ..., x^(m+count-1) mod modulus (monic, degree m) over F_p."""
+    rows = []
+    row = [-c % p for c in modulus[:-1]]  # x^m = -(modulus without its lead)
+    for _ in range(count):  # x^(k+1) = x * x^k, the top digit folds back
+        rows.append(row)
+        top = row[-1]
+        row = [(lo + top * r0) % p for lo, r0 in zip([0] + row[:-1], rows[0])]
+    return rows
+
+
 def _poly_ops(field: Field):
     """add, sub, mul, inv, pow in F_(p^m) above _TABLE_CAP.
 
@@ -350,10 +361,7 @@ def _poly_ops(field: Field):
     enough for the largest coefficient that folding can produce.
     """
     p, m, n = field.p, field.m, field.q - 1
-    rows = [[-c % p for c in field.modulus[:-1]]]  # x^m = -(modulus without its lead)
-    for _ in range(m - 2):  # x^(k+1) = x * x^k, the top digit folds back
-        top = rows[-1][-1]
-        rows.append([(lo + top * r0) % p for lo, r0 in zip([0] + rows[-1][:-1], rows[0])])
+    rows = _reduction_rows(p, field.modulus, m - 1)
     w = (m * (p - 1) ** 2 * (1 + (m - 1) * (p - 1))).bit_length()
     mask = (1 << w) - 1
     low_mask = (1 << w * m) - 1
@@ -405,6 +413,119 @@ def _poly_ops(field: Field):
     if p == 2:
         return xor, xor, mul, inv, power
     return partial(_add_digits, p, 1), partial(_add_digits, p, -1), mul, inv, power
+
+
+# ---------------------------------------------------------------------------
+# Root test: gcd(x^q - x mod g, g) != 1 iff g has a root in F_q
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _packed_xq(p: int, m: int, modulus, d: int):
+    """x^q mod g (q = p^m) for monic g of degree d >= 1 over F_(p^m).
+
+    An element of F_q[x]/(g) is one int (Kronecker substitution at two
+    levels): the coefficient of x^i fills slot i, S = 3m - 2 digits of w
+    bits each, and holds the base-p digits of that F_q element one digit
+    apart, as a polynomial in y, the residue of the modulus's variable.
+    x^q is computed left to right.  A square is one integer product; its
+    slots d..2d-2 fold back through the packed rows x^k mod g, which
+    leaves y-digits up to 3m-3 in each slot; those fold back through the
+    rows y^j mod modulus, one whole-int step per j; then every digit is
+    reduced mod p.  A multiply-by-x step is a shift and one fold.
+    """
+    P, S = p - 1, 3 * m - 2
+    # w bounds the largest digit before the mod-p step.  A square's digit is
+    # a sum of at most d*m digit products: d*m*P^2.  Folding slots d..2d-2
+    # adds d-1 slot-by-row products, each digit a sum of at most m products
+    # of such a digit with a row digit <= P: b = d*m*P^2 * (1 + (d-1)*m*P).
+    # Folding y-digits m..3m-3 adds 2m-2 multiples of a digit <= b by a row
+    # digit <= P: b * (1 + (2m-2)*P).  A multiply-by-x step stays below that.
+    w = (d * m * P * P * (1 + (d - 1) * m * P) * (1 + (2 * m - 2) * P)).bit_length()
+    mask, slot = (1 << w) - 1, S * w
+    low_mask, slot_mask = (1 << d * slot) - 1, (1 << slot) - 1
+    digits = [i * S + j for i in range(d) for j in range(m)]
+    ones = sum(1 << i * w for i in digits)
+    keep = ones * mask  # y-digits 0..m-1 of every slot
+    lane = sum(mask << i * slot for i in range(d))  # y-digit 0 of every slot
+    y_rows = _reduction_rows(p, modulus, 2 * m - 2) if m > 1 else []
+    yrows = [(j * w, sum(c << i * w for i, c in enumerate(row)))
+             for j, row in enumerate(y_rows, m)]  # y^j mod modulus, j = m..3m-3
+    # v mod p for many digits at once (Granlund-Montgomery): for v < 2^w,
+    # floor(v / p) = floor(v * magic / 2^k).  v * magic takes up to 2w + 2
+    # bits and its quotient ends at bit k + w <= 3w, so the digits go in
+    # three classes, three digits apart, one product per class.
+    k = w + P.bit_length()
+    magic = (1 << k) // p + 1
+    c0, c1, c2 = (sum(mask << i * w for i in digits if i % 3 == c) for c in range(3))
+    bits = bin(p ** m)[3:]
+    unpack = [[(i * S + j) * w for j in reversed(range(m))] for i in range(d)]
+
+    def reduce(v):
+        if yrows:
+            v, high = v & keep, v
+            for s, row in yrows:
+                v += (high >> s & lane) * row
+        if p == 2:
+            return v & ones
+        return v - p * ((v & c0) * magic >> k & c0 | (v & c1) * magic >> k & c1
+                        | (v & c2) * magic >> k & c2)
+
+    def times_x(r, top):
+        r <<= slot
+        return reduce((r & low_mask) + (r >> d * slot) * top)
+
+    def xq(g):
+        top = 0  # x^d mod g = -(g without its lead)
+        for i, c in enumerate(g[:-1]):
+            for j in range(m):
+                c, digit = divmod(c, p)
+                top |= -digit % p << (i * S + j) * w
+        rows = [(d * slot, top)]  # x^k mod g, k = d..2d-2 (d = 1: an empty slot)
+        for s in range((d + 1) * slot, (2 * d - 1) * slot, slot):
+            rows.append((s, times_x(rows[-1][1], top)))
+        r = times_x(1, top)
+        for bit in bits:
+            prod = r * r
+            v = prod & low_mask
+            for s, row in rows:
+                v += (prod >> s & slot_mask) * row
+            r = reduce(v)
+            if bit == "1":
+                r = times_x(r, top)
+        out = []
+        for shifts in unpack:
+            c = 0
+            for s in shifts:
+                c = c * p + (r >> s & mask)
+            out.append(c)
+        return _dense_trim(out)
+
+    return xq
+
+
+def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
+    """A test for monic g of degree d >= 1: gcd(x^q - x mod g, g) != 1.
+
+    x^q mod g is packed (_packed_xq) above _TABLE_CAP, and below it when
+    2d <= q + 1 and either m = 1 or p is odd and 3d >= m; otherwise it is
+    _dense_powmod.  The rule follows a timed grid of both routes: the list
+    kernel wins where x^q needs few reductions against the d - 1 rows the
+    packed ring builds (d near q or above), in characteristic 2 (XOR sums
+    and table products are cheap) and at small d against large m (2m - 2
+    digit folds per step).  The gcd runs on the list kernel either way.
+    """
+    p, m, q = field.p, field.m, field.q
+    if q > _TABLE_CAP or 2 * d <= q + 1 and (m == 1 or p > 2 and 3 * d >= m):
+        xq = _packed_xq(p, m, field.modulus, d)
+    else:
+        xq = partial(_dense_powmod, field, [0, 1], q)
+
+    def test(g):
+        r = _dense_sub(field, xq(g), [0, 1])
+        return not r or len(_dense_gcd(field, g, r)) > 1
+
+    return test
 
 
 @dataclass(frozen=True, slots=True)

@@ -608,7 +608,8 @@ def _parse_header(stream: _TokenStream, kind: str):
         elif tok == "mode" and kind == "slp":
             val, vline, vcol = stream.next()
             if val not in (SLP_STRICT, SLP_EXTENDED):
-                raise ParseError(f"unknown mode {val!r}", vline, vcol)
+                raise ParseError(f"expected a mode ({SLP_STRICT} or {SLP_EXTENDED}), "
+                                 f"found {_found(val)}", vline, vcol)
             keys["mode"] = val
         elif tok == "mode":
             raise ParseError("mode= is only allowed in slp headers", line, col)
@@ -682,7 +683,8 @@ def parse_poly(text: str):
         return SparseShiftPoly(field, tuple(triples), constant)
     if kind == "slp":
         return _parse_slp(lines)
-    raise ParseError(f"unknown polynomial kind {kind!r}", line, col)
+    raise ParseError(f"expected a polynomial kind (dense, sparse, shift or slp), "
+                     f"found {_found(kind)}", line, col)
 
 
 def _parse_slp(lines) -> Slp:
@@ -727,7 +729,7 @@ def _parse_slp(lines) -> Slp:
                 k = reg_index(*ls.next(), len(instructions))
                 instructions.append((op, j, k))
             else:
-                raise ParseError(f"unknown instruction {op!r}", oline, ocol)
+                raise ParseError(f"expected an instruction, found {_found(op)}", oline, ocol)
         rest = ls.peek()
         if rest[0] is not None:
             raise ParseError(f"trailing token {rest[0]!r}", rest[1], rest[2])

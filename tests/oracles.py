@@ -6,7 +6,14 @@ from fractions import Fraction
 from valueset.charsum import chi
 from valueset.counting import SymWeights
 from valueset.errors import NonIntegralResultError
-from valueset.ffield import _dense_mod, _dense_mul
+from valueset.ffield import (
+    _dense_gcd,
+    _dense_mod,
+    _dense_monic,
+    _dense_mul,
+    _dense_powmod,
+    _dense_sub,
+)
 
 
 def alpha_value(p: int, x: int) -> int:
@@ -97,3 +104,14 @@ def add_reference(field, a: int, b: int, sign: int = 1) -> int:
     """a + sign * b coefficient by coefficient over F_p."""
     return field.from_coeffs(
         x + sign * y for x, y in zip(field.coeffs(a), field.coeffs(b)))
+
+
+def has_root_reference(field, g: list[int]) -> bool:
+    """Root test on a trimmed coefficient list through the dense kernel
+    alone: gcd(x^q - x mod g, g) != 1, x^q by _dense_powmod.  The zero list
+    vanishes everywhere and a nonzero constant nowhere."""
+    if len(g) <= 1:
+        return not g
+    g = _dense_monic(field, g)
+    r = _dense_sub(field, _dense_powmod(field, [0, 1], field.q, g), [0, 1])
+    return not r or len(_dense_gcd(field, g, r)) - 1 >= 1

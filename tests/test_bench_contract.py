@@ -68,6 +68,30 @@ def test_first_product_calls_patched_table_build(monkeypatch):
     assert calls == [81]
 
 
+def test_has_root_and_count_codomain_share_the_root_test(monkeypatch):
+    # bench/replay.py replays counting.has_root as the kernel rate of a
+    # workload whose time is spent in count_codomain: both run one test.
+    assert counting.root_test is ffield.root_test
+    degrees = []
+    build = counting.root_test
+
+    def traced(field, d):
+        test = build(field, d)
+
+        def counted(g):
+            degrees.append(len(g) - 1)
+            return test(g)
+
+        return counted
+
+    monkeypatch.setattr(counting, "root_test", traced)
+    f = polyrep.DensePoly(ffield.make_field(7), (3, 0, 0, 2))
+    assert not counting.has_root(f)
+    assert degrees == [3]
+    assert counting.count_codomain(f).cardinality == 3
+    assert degrees == [3] * 8
+
+
 def test_charsum_tables_are_caches():
     # Each pass starts from cold caches and reads hits and misses back.
     for name in ("alpha_table", "pattern_table", "pattern_index_table"):

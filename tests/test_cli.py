@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import random
+
+import pytest
+from samples import sample_polys
 
 from valueset import cli
 from valueset.errors import NonIntegralResultError
+from valueset.ffield import make_field
+from valueset.polyrep import serialize_poly
 
 
 def run_cli(capsys, *args):
@@ -205,3 +211,17 @@ def test_text_format_count(tmp_path, capsys):
 def test_bad_workers(capsys):
     code, _, err = run_cli(capsys, "verify", "identities", "--workers", "0")
     assert code == 2 and "workers" in err
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (13, 1), (3, 2), (2, 3), (2, 2)],
+                         ids=lambda v: str(v))
+def test_count_samples_exit_zero_and_methods_agree(tmp_path, capsys, p, m):
+    field = make_field(p, m)
+    for i, f in enumerate(sample_polys(field, random.Random(f"cli-sweep:{p}:{m}"))):
+        poly = write(tmp_path, f"f{i}.poly", serialize_poly(f) + "\n")
+        cards = set()
+        for method in ("direct", "codomain", "symmetric"):
+            code, out, err = run_cli(capsys, "count", poly, "--method", method)
+            assert code == 0, (serialize_poly(f), method, err)
+            cards.add(json.loads(out)["cardinality"])
+        assert len(cards) == 1, (serialize_poly(f), cards)

@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from oracles import newton_reciprocal
+from oracles import has_root_reference, newton_reciprocal
 from samples import sample_polys
 
 from valueset.counting import (
@@ -31,7 +31,7 @@ from valueset.errors import (
     OrderTooLargeError,
     ZeroPolynomialError,
 )
-from valueset.ffield import Field, make_field
+from valueset.ffield import Field, _dense_monic, _dense_powmod, _packed_xq, make_field
 from valueset.parallel import map_chunks
 from valueset.polyrep import DensePoly, SparsePoly, SparseShiftPoly
 
@@ -104,6 +104,41 @@ def test_has_root():
     assert not has_root(DensePoly(F5, (2,)))
     with pytest.raises(ZeroPolynomialError):
         has_root(DensePoly(F5, ()))
+
+
+# Both sides of root_test's packed/dense rule: prime fields, characteristic
+# 2, small d against large m, d > m, d >= q and one field above the cap.
+ROOT_TEST_FIELDS = [(2, 1), (3, 1), (5, 1), (1009, 1), (2, 3), (2, 8), (2, 13),
+                    (3, 2), (7, 3), (3, 6), (31, 2), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", ROOT_TEST_FIELDS, ids=lambda v: str(v))
+def test_root_test_matches_dense_reference(p, m):
+    field = make_field(p, m)
+    q = field.q
+    rng = random.Random(f"root-test:{p}:{m}")
+    degrees = {1, 2, m, m + 1, 2 * m + 1} | ({q, q + 1} if q <= 9 else set())
+    ones = (q - 1) // (p - 1)  # every digit 1: -g has every digit p - 1
+    for d in sorted(degrees):
+        xq = _packed_xq(p, m, field.modulus, d)
+        samples = [[rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+                   for _ in range(6)]
+        samples.append([ones] * d + [1])
+        for g in samples:
+            assert has_root(DensePoly(field, tuple(g))) == has_root_reference(field, g), g
+            # x^q mod g from the packed ring, whichever route the rule picks
+            g = _dense_monic(field, g)
+            assert xq(g) == _dense_powmod(field, [0, 1], q, g), g
+    for c in (1, rng.randrange(1, q)):
+        assert not has_root(DensePoly(field, (c,))) and not has_root_reference(field, [c])
+    assert has_root_reference(field, [])
+    with pytest.raises(ZeroPolynomialError):
+        has_root(DensePoly(field, ()))
+    if q <= 343:  # the zero polynomial and a constant, over every a
+        for c in (0, rng.randrange(1, q)):
+            ref = sum(has_root_reference(field, [field.sub(c, a)] if c != a else [])
+                      for a in range(q))
+            assert count_codomain(DensePoly(field, (c,) if c else ())).cardinality == ref == 1
 
 
 def test_sym_weights_small():

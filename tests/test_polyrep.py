@@ -81,7 +81,12 @@ def test_parse_error_carries_position():
             ("sparse p=7: 3*x^2 +  # comment", (1, 20), "found end of input"),
             ("shift p=11: 3*(x+1)^2 + const", (1, 30), "found end of input"),
             ("shift p=11:\n3*(x+1\n\n", (2, 7), "expected ')', found end of input"),
-            ("dense p=5", (1, 10), "header not terminated by ':'")]:
+            ("dense p=5", (1, 10), "header not terminated by ':'"),
+            ("", (1, 1), "expected a polynomial kind (dense, sparse, shift or slp), "
+                         "found end of input"),
+            ("slp p=5 mode=", (1, 14), "expected a mode (strict or extended), "
+                                      "found end of input"),
+            ("slp p=5\nr1 :=\nout r1", (2, 6), "expected an instruction, found end of input")]:
         with pytest.raises(ParseError) as err:
             parse_poly(text)
         assert (err.value.line, err.value.column) == where, text

@@ -159,7 +159,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         "agree": result.count == oracle,
     }
     if result.fpoly is not None:
-        payload["beta"] = polyrep.serialize_poly(result.fpoly.beta)
+        payload["beta"] = polyrep.serialize_poly(reductions.build_beta(inst, result.p))
         payload["f_slp"] = polyrep.serialize_poly(result.fpoly.slp())
     return payload, EXIT_OK
 

@@ -680,6 +680,8 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
+    if modulus is not None and m == 1:
+        raise ValueError("a modulus requires m > 1")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     q = p ** m

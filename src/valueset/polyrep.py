@@ -9,9 +9,11 @@ workers.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegreeCapExceededError,
@@ -238,8 +240,48 @@ class SlpBuilder:
                 reg = self._emit(("mul", reg, j))
         return reg
 
-    def build(self, output: int, mode: str | None = None) -> Slp:
-        return Slp(self.field, tuple(self._instrs), output, mode or self.mode)
+    def build(self, output: int) -> Slp:
+        return Slp(self.field, tuple(self._instrs), output, self.mode)
+
+
+def _compile_slp(f: Slp, add, sub, mul, lift):
+    """Compile f into x -> output register over the caller's arithmetic.
+
+    add, sub and mul combine two register values; lift turns the field
+    element that one, gen or const stands for into a register value.  Only
+    registers the output depends on are kept.  Slot 0 holds x, the lifted
+    constants follow (nullary instructions depend on nothing), then the kept
+    ops in order; every kept op is an ancestor of the output or the output
+    itself, so the output is the last register.
+    """
+    instrs = f.instructions
+    live = [False] * len(instrs)
+    live[f.output - 1] = True
+    for i in range(f.output - 1, -1, -1):
+        if live[i] and len(instrs[i]) == 3:
+            live[instrs[i][1] - 1] = live[instrs[i][2] - 1] = True
+    ops = {"add": add, "sub": sub, "mul": mul}
+    seed = {"one": 1, "gen": f.field.p}
+    slot = [0] * len(instrs)
+    consts = []
+    for i, ins in enumerate(instrs):
+        if live[i] and len(ins) < 3 and ins[0] != "x":
+            consts.append(lift(ins[1] if ins[0] == "const" else seed[ins[0]]))
+            slot[i] = len(consts)
+    steps = []
+    for i, ins in enumerate(instrs):
+        if live[i] and len(ins) == 3:
+            steps.append((ops[ins[0]], slot[ins[1] - 1], slot[ins[2] - 1]))
+            slot[i] = len(consts) + len(steps)
+
+    def run_slp(x, _consts=tuple(consts), _steps=tuple(steps)):
+        regs = [x, *_consts]
+        push = regs.append
+        for op, j, k in _steps:
+            push(op(regs[j], regs[k]))
+        return regs[-1]
+
+    return run_slp
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +353,7 @@ def evaluator(f):
 
         return eval_shift
     if isinstance(f, Slp):
-        instrs, out = f.instructions, f.output
-        add, sub, mul = field.add, field.sub, field.mul
-        gen = field.p if field.m > 1 else None
-
-        def eval_slp(x, _instrs=instrs, _out=out):
-            regs = []
-            for ins in _instrs:
-                op = ins[0]
-                if op == "add":
-                    regs.append(add(regs[ins[1] - 1], regs[ins[2] - 1]))
-                elif op == "mul":
-                    regs.append(mul(regs[ins[1] - 1], regs[ins[2] - 1]))
-                elif op == "sub":
-                    regs.append(sub(regs[ins[1] - 1], regs[ins[2] - 1]))
-                elif op == "x":
-                    regs.append(x)
-                elif op == "one":
-                    regs.append(1)
-                elif op == "gen":
-                    regs.append(gen)
-                else:  # const
-                    regs.append(ins[1])
-            return regs[_out - 1]
-
-        return eval_slp
+        return _compile_slp(f, field.add, field.sub, field.mul, lambda c: c)
     raise TypeError(f"not a polynomial representation: {type(f).__name__}")
 
 
@@ -360,18 +378,8 @@ def degree_bound(f) -> DegreeBound:
                 lead = f.field.add(lead, a)
         return DegreeBound(top, lead != 0)
     if isinstance(f, Slp):
-        bounds = []
-        for ins in f.instructions:
-            op = ins[0]
-            if op == "x":
-                bounds.append(1)
-            elif op in ("one", "gen", "const"):
-                bounds.append(0)
-            elif op == "mul":
-                bounds.append(bounds[ins[1] - 1] + bounds[ins[2] - 1])
-            else:
-                bounds.append(max(bounds[ins[1] - 1], bounds[ins[2] - 1]))
-        return DegreeBound(bounds[f.output - 1], False)
+        bound = _compile_slp(f, max, max, operator.add, lambda c: 0)
+        return DegreeBound(bound(1), False)
     raise TypeError(f"not a polynomial representation: {type(f).__name__}")
 
 
@@ -453,36 +461,9 @@ def to_dense(f, cap: int) -> DensePoly:
             acc = _dense_add(field, acc, term)
         return DensePoly(field, tuple(acc))
     if isinstance(f, Slp):
-        needed = set()
-        stack = [f.output]
-        while stack:
-            i = stack.pop()
-            if i in needed:
-                continue
-            needed.add(i)
-            ins = f.instructions[i - 1]
-            if ins[0] in ("add", "sub", "mul"):
-                stack.extend(ins[1:])
-        regs: dict[int, list[int]] = {}
-        for i, ins in enumerate(f.instructions, start=1):
-            if i not in needed:
-                continue
-            op = ins[0]
-            if op == "one":
-                regs[i] = [1]
-            elif op == "gen":
-                regs[i] = [field.p]
-            elif op == "const":
-                regs[i] = [ins[1]] if ins[1] else []
-            elif op == "x":
-                regs[i] = [0, 1]
-            elif op == "add":
-                regs[i] = _dense_add(field, regs[ins[1]], regs[ins[2]])
-            elif op == "sub":
-                regs[i] = _dense_sub(field, regs[ins[1]], regs[ins[2]])
-            else:
-                regs[i] = _dense_mul(field, regs[ins[1]], regs[ins[2]])
-        return DensePoly(field, tuple(regs[f.output]))
+        run = _compile_slp(f, partial(_dense_add, field), partial(_dense_sub, field),
+                           partial(_dense_mul, field), lambda c: [c] if c else [])
+        return DensePoly(field, tuple(run([0, 1])))
     raise TypeError(f"not a polynomial representation: {type(f).__name__}")
 
 
@@ -622,12 +603,8 @@ def _parse_header(stream: _TokenStream, kind: str):
 
 
 def _field_from_header(keys) -> Field:
-    m = keys.get("m", 1)
-    mod = keys.get("mod")
-    if mod is not None and m == 1:
-        raise ParseError("mod= requires m > 1")
     try:
-        return make_field(keys["p"], m, modulus=mod)
+        return make_field(keys["p"], keys.get("m", 1), modulus=keys.get("mod"))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

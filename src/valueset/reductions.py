@@ -237,7 +237,6 @@ class CountingPoly:
         self.instance = inst
         self.p = p
         self.field: Field = make_field(p)
-        self.beta = build_beta(inst, p)
         # f(x) depends on x only through its alpha pattern, so the 2^t
         # possible values are tabulated once and evaluation is two lookups.
         self._patterns = charsum.pattern_index_table(p, inst.t)

@@ -7,6 +7,7 @@ check of the CLI itself.  Run with `pytest tests/test_acceptance.py -s` to
 see the per-criterion lines.
 """
 
+import hashlib
 import json
 import time
 
@@ -15,6 +16,9 @@ import pytest
 from valueset import cli, verify
 
 SEED = 0
+# SHA-256 of `valueset verify all --seed 0` stdout: a change that moves any
+# report value, or the layout of the report, changes it.
+VERIFY_ALL_SHA256 = "026beed7f928e3c3b357b2fbfbd8456df63926dc9221b0b550854ee03e6cb7bb"
 
 
 @pytest.fixture(scope="module")
@@ -117,5 +121,6 @@ def test_criterion_10_determinism(capsys):
           f"workers {{1, 4}} at fixed seed "
           f"({time.perf_counter() - start:.1f}s)")
     assert identical
+    assert hashlib.sha256(outputs[0].encode()).hexdigest() == VERIFY_ALL_SHA256
     payload = json.loads(outputs[0])
     assert payload["passed"] is True

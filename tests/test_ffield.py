@@ -51,6 +51,9 @@ def test_make_field_explicit_modulus():
     assert f.modulus == (1, 1, 0, 1)
     with pytest.raises(ValueError):
         make_field(2, 2, modulus=[1, 0, 1])  # (x+1)^2
+    for modulus in ((1, 2, 3), (7,)):  # a prime field takes no modulus
+        with pytest.raises(ValueError):
+            make_field(5, 1, modulus=modulus)
 
 
 def test_f4_multiplication():

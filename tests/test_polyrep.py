@@ -309,6 +309,35 @@ def test_to_dense_slp_matches_eval():
     dense = to_dense(slp, 100)
     for x0 in range(7):
         assert evaluate(dense, x0) == evaluate(slp, x0)
+    # The samples share one builder per mode, so each program carries the
+    # registers of the programs built before it.
+    rng = random.Random(7)
+    for field in (F5, F67, F9, F8):
+        for f in sample_polys(field, rng):
+            if not isinstance(f, Slp):
+                continue
+            dense = to_dense(f, 10 ** 4)
+            bound = degree_bound(f).bound
+            assert dense.degree is None or bound >= dense.degree
+            ev = evaluator(f)
+            for x0 in range(field.q):
+                acc = 0
+                for c in reversed(dense.coeffs):
+                    acc = field.add(field.mul(acc, x0), c)
+                assert ev(x0) == acc
+
+
+def test_slp_dead_registers_are_not_computed():
+    field = make_field(7)
+    calls = []
+    mul = field.mul
+    object.__setattr__(field, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    builder = SlpBuilder(field, "extended")
+    x = builder.x()
+    builder.power(x, 2 ** 20)  # dead: the output never reads it
+    prog = builder.build(builder.add(x, builder.one()))
+    assert [evaluate(prog, x0) for x0 in range(7)] == [1, 2, 3, 4, 5, 6, 0]
+    assert len(calls) == 0
 
 
 def test_strict_const_chains():

@@ -255,22 +255,23 @@ def _compile_slp(f: Slp, add, sub, mul, lift):
     itself, so the output is the last register.
     """
     instrs = f.instructions
+    ops = {"add": add, "sub": sub, "mul": mul}
     live = [False] * len(instrs)
     live[f.output - 1] = True
     for i in range(f.output - 1, -1, -1):
-        if live[i] and len(instrs[i]) == 3:
-            live[instrs[i][1] - 1] = live[instrs[i][2] - 1] = True
-    ops = {"add": add, "sub": sub, "mul": mul}
-    seed = {"one": 1, "gen": f.field.p}
+        ins = instrs[i]
+        if live[i] and ins[0] in ops:
+            live[ins[1] - 1] = live[ins[2] - 1] = True
+    element = {"one": 1, "gen": f.field.p}
     slot = [0] * len(instrs)
     consts = []
     for i, ins in enumerate(instrs):
-        if live[i] and len(ins) < 3 and ins[0] != "x":
-            consts.append(lift(ins[1] if ins[0] == "const" else seed[ins[0]]))
+        if live[i] and ins[0] in ("one", "gen", "const"):
+            consts.append(lift(ins[1] if ins[0] == "const" else element[ins[0]]))
             slot[i] = len(consts)
     steps = []
     for i, ins in enumerate(instrs):
-        if live[i] and len(ins) == 3:
+        if live[i] and ins[0] in ops:
             steps.append((ops[ins[0]], slot[ins[1] - 1], slot[ins[2] - 1]))
             slot[i] = len(consts) + len(steps)
 

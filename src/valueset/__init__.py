@@ -38,12 +38,12 @@ from .polyrep import (
 )
 from .reductions import (
     Cnf3,
+    CountingPoly,
     SubsetSumInstance,
     brute_subset_count,
     brute_subset_decision,
     build_beta,
     build_circuit,
-    build_counting_poly,
     build_gamma,
     circuit_image_count,
     count_ssp_via_valueset,

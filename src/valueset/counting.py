@@ -124,26 +124,11 @@ def _check_enumerable(q: int) -> None:
         raise OrderTooLargeError(f"q = {q} exceeds the enumeration cap 2^26")
 
 
-def _resolve(f, field: Field | None):
-    """Accept a polynomial representation or a bare evaluator callable."""
-    if isinstance(f, PolyInput):
-        fld = f.field
-        if field is not None and field != fld:
-            raise ValueError("explicit field disagrees with the polynomial's")
-        return polyrep.evaluator(f), fld
-    if callable(f):
-        fld = field if field is not None else getattr(f, "field", None)
-        if fld is None:
-            raise ValueError("a bare evaluator needs an explicit field")
-        return f, fld
-    raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
-
-
-def _exact_degree(f) -> int | None:
-    if isinstance(f, PolyInput):
-        bound = polyrep.degree_bound(f)
-        return bound.bound if bound.exact else None
-    return getattr(f, "degree", None)
+def _resolve(f):
+    """The evaluator and field of a polynomial representation."""
+    if not isinstance(f, PolyInput):
+        raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
+    return polyrep.evaluator(f), f.field
 
 
 def _assert_bounds(cardinality: int, q: int, d: int | None) -> None:
@@ -162,10 +147,10 @@ def _assert_bounds(cardinality: int, q: int, d: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def count_direct(f, field: Field | None = None, workers: int = 1):
+def count_direct(f, workers: int = 1):
     """Evaluate everywhere; returns (report, preimage histogram)."""
     start = time.perf_counter()
-    ev, fld = _resolve(f, field)
+    ev, fld = _resolve(f)
     q = fld.q
     _check_enumerable(q)
 
@@ -179,7 +164,8 @@ def count_direct(f, field: Field | None = None, workers: int = 1):
 
     entries = merge_counters(map_chunks(work, q, workers))
     histogram = PreimageHistogram(fld, entries)
-    d = _exact_degree(f)
+    bound = polyrep.degree_bound(f)
+    d = bound.bound if bound.exact else None
     cardinality = len(entries)
     _assert_bounds(cardinality, q, d)
     report = ValueSetReport(
@@ -329,9 +315,9 @@ def nk_from_histogram(hist: PreimageHistogram, d: int) -> EqualValueCounts:
     return EqualValueCounts(d, tuple(counts), "histogram")
 
 
-def nk_brute(f, field: Field | None = None, k: int = 1) -> int:
+def nk_brute(f, k: int = 1) -> int:
     """Count k-tuples with equal images by exhaustive enumeration."""
-    ev, fld = _resolve(f, field)
+    ev, fld = _resolve(f)
     q = fld.q
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -348,8 +334,8 @@ def nk_brute(f, field: Field | None = None, k: int = 1) -> int:
     return count
 
 
-def count_hypersurface_points(f, field: Field | None = None, k: int = 2,
-                              literal: bool = False, workers: int = 1) -> HypersurfaceCount:
+def count_hypersurface_points(f, k: int = 2, literal: bool = False,
+                              workers: int = 1) -> HypersurfaceCount:
     """Zeros of sum_j z_(j-1) (f(x_1) - f(x_j)) over F_q^k x F_q^(k-1).
 
     The default path enumerates x-tuples and counts z-solutions analytically:
@@ -358,7 +344,7 @@ def count_hypersurface_points(f, field: Field | None = None, k: int = 2,
     literal=True the full (x, z) space is enumerated instead; that is the
     slow independent oracle used for cross-checks.
     """
-    ev, fld = _resolve(f, field)
+    ev, fld = _resolve(f)
     q = fld.q
     if k < 2:
         raise ValueError("the auxiliary equation needs k >= 2")
@@ -422,7 +408,7 @@ def nk_from_hypersurface(c: HypersurfaceCount) -> int:
 # ---------------------------------------------------------------------------
 
 
-def reduced_poly(f, field: Field | None = None):
+def reduced_poly(f):
     """A representation of the same map with exact degree < q.
 
     Sparse inputs are folded through x^q = x; dense inputs of degree >= q
@@ -433,8 +419,6 @@ def reduced_poly(f, field: Field | None = None):
     if not isinstance(f, PolyInput):
         raise TypeError("the symmetric method needs a polynomial representation")
     fld = f.field
-    if field is not None and field != fld:
-        raise ValueError("explicit field disagrees with the polynomial's")
     if isinstance(f, SparsePoly):
         return polyrep.reduce_exponents(f)
     if isinstance(f, DensePoly):
@@ -446,8 +430,7 @@ def reduced_poly(f, field: Field | None = None):
     return reduced_poly(dense)
 
 
-def count_symmetric(f, field: Field | None = None, nk_source: str = "histogram",
-                    workers: int = 1) -> ValueSetReport:
+def count_symmetric(f, nk_source: str = "histogram", workers: int = 1) -> ValueSetReport:
     """Exact |V_f| from the alternating N_k / sigma_i sum.
 
     The rational accumulation is shadowed by an all-integer path (the same
@@ -456,7 +439,7 @@ def count_symmetric(f, field: Field | None = None, nk_source: str = "histogram",
     start = time.perf_counter()
     if nk_source not in NK_SOURCES:
         raise ValueError(f"unknown N_k source {nk_source!r}")
-    g = reduced_poly(f, field)
+    g = reduced_poly(f)
     fld = g.field
     q = fld.q
     _check_enumerable(q)
@@ -504,22 +487,21 @@ def count_symmetric(f, field: Field | None = None, nk_source: str = "histogram",
         histogram=histogram, seconds=time.perf_counter() - start)
 
 
-def count_value_set(f, field: Field | None = None, method: str = "direct",
-                    nk_source: str = "histogram", workers: int = 1) -> ValueSetReport:
+def count_value_set(f, method: str = "direct", nk_source: str = "histogram",
+                    workers: int = 1) -> ValueSetReport:
     """Dispatch over the three algorithms."""
     if method == "direct":
-        report, _ = count_direct(f, field, workers=workers)
+        report, _ = count_direct(f, workers=workers)
         return report
     if method == "codomain":
         g = f if isinstance(f, DensePoly) else polyrep.to_dense(f, EXPANSION_CAP)
         return count_codomain(g, workers=workers)
     if method == "symmetric":
-        return count_symmetric(f, field, nk_source=nk_source, workers=workers)
+        return count_symmetric(f, nk_source=nk_source, workers=workers)
     raise ValueError(f"unknown method {method!r}")
 
 
-def is_permutation(f, field: Field | None = None, method: str = "direct",
-                   workers: int = 1) -> bool:
+def is_permutation(f, method: str = "direct", workers: int = 1) -> bool:
     """True iff the induced map is a bijection (|V_f| = q)."""
-    report = count_value_set(f, field, method=method, workers=workers)
+    report = count_value_set(f, method=method, workers=workers)
     return report.cardinality == report.q

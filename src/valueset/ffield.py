@@ -210,7 +210,7 @@ def is_irreducible(poly: list[int], p: int) -> bool:
     m = len(poly) - 1
     if m < 1:
         raise NotMonicError("degree must be at least 1")
-    fp = Field(p, 1, p, None)
+    fp = Field(p, 1, None)
     x = _dense_mod(fp, [0, 1], poly)  # x itself is not reduced when m == 1
     # x^(p^m) == x mod poly, and gcd(x^(p^(m/l)) - x, poly) == 1 for prime l | m
     for ell in _prime_factors(m):
@@ -282,7 +282,7 @@ def _table_ops(field: Field):
         # ints, about a seventh of the memory of lists of int objects.
         # Products test exp and sums zech, stored after log, so no caller
         # sees a part-set trio.
-        built = Field(p, m, q, modulus)._build_logexp()
+        built = Field(p, m, modulus)._build_logexp()
         log, exp, zech = tables["logexp"] = tuple(
             None if t is None else array("i", t) for t in built)
 
@@ -544,11 +544,10 @@ class Field:
 
     p: int
     m: int
-    q: int
+    q: int = dc_field(init=False, compare=False)  # p ** m, set by __post_init__
     modulus: tuple[int, ...] | None  # monic, little-endian, length m+1; None iff m == 1
     _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    # Set by __post_init__: the coefficient field F_p (m > 1) and the ops.
-    _prime: Field = dc_field(init=False, repr=False, compare=False)
+    # Set by __post_init__: the ops.
     add: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
     sub: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
     mul: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
@@ -556,10 +555,10 @@ class Field:
     pow: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "q", self.p ** self.m)
         if self.m == 1:
             ops = _prime_ops(self.p)
         else:
-            object.__setattr__(self, "_prime", Field(self.p, 1, self.p, None))
             ops = (_table_ops if self.q <= _TABLE_CAP else _poly_ops)(self)
         for name, op in zip(("add", "sub", "mul", "inv", "pow"), ops):
             object.__setattr__(self, name, op)
@@ -593,10 +592,11 @@ class Field:
         log[g^i] = i, and for odd p the Zech logarithms zech[n] = log(1 + g^n),
         -1 where 1 + g^n = 0 (None for p = 2, where addition is XOR)."""
         p, q, n = self.p, self.q, self.q - 1
+        fp = Field(p, 1, None)
         cofactors = [n // r for r in _prime_factors(n)]
         # Candidates below p are F_p constants, of order dividing p - 1 < q - 1.
         for g in range(p, q):
-            if all(_dense_powmod(self._prime, self.coeffs(g), e, self.modulus) != [1]
+            if all(_dense_powmod(fp, self.coeffs(g), e, self.modulus) != [1]
                    for e in cofactors):
                 break
         else:
@@ -662,13 +662,6 @@ class Field:
             out["modulus"] = list(self.modulus)
         return out
 
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __eq__(self, other):
-        return (isinstance(other, Field)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
-
 
 def make_field(p: int, m: int = 1, modulus=None) -> Field:
     """Build F_(p^m), verifying primality and finding a modulus for m > 1.
@@ -684,9 +677,8 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
         raise ValueError("a modulus requires m > 1")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    q = p ** m
     if m == 1:
-        return Field(p=p, m=m, q=q, modulus=None)
+        return Field(p=p, m=m, modulus=None)
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != m + 1:
@@ -695,7 +687,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
             raise ValueError("modulus coefficients must lie in [0, p)")
         if not is_irreducible(list(modulus), p):
             raise ValueError("modulus is not irreducible over F_p")
-        return Field(p=p, m=m, q=q, modulus=modulus)
+        return Field(p=p, m=m, modulus=modulus)
     for idx in range(p ** m):
         cand = []
         e = idx
@@ -704,7 +696,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
             cand.append(d)
         cand.append(1)
         if is_irreducible(cand, p):
-            return Field(p=p, m=m, q=q, modulus=tuple(cand))
+            return Field(p=p, m=m, modulus=tuple(cand))
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 

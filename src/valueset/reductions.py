@@ -13,6 +13,7 @@ polynomial over F_(2^(n+m)) with the same value-set cardinality
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -227,8 +228,6 @@ class CountingPoly:
     square-and-multiply chains instead.
     """
 
-    degree = None  # only an upper bound (p-1) is known, never the exact degree
-
     def __init__(self, inst: SubsetSumInstance, p: int):
         if p <= counting_prime_bound(inst) or not is_prime(p):
             raise PrimeTooSmallError(
@@ -238,15 +237,15 @@ class CountingPoly:
         self.p = p
         self.field: Field = make_field(p)
         # f(x) depends on x only through its alpha pattern, so the 2^t
-        # possible values are tabulated once and evaluation is two lookups.
-        self._patterns = charsum.pattern_index_table(p, inst.t)
+        # possible values are tabulated once, indexed by the pattern.
         values = [0] * (1 << inst.t)
         for pat in _solution_patterns(inst, p):
             values[pat] = pat % p
         self._value_by_pattern = values
 
     def __call__(self, x: int) -> int:
-        return self._value_by_pattern[self._patterns[x]]
+        pattern = charsum.pattern_index_table(self.p, self.instance.t)[x]
+        return self._value_by_pattern[pattern]
 
     def slp(self) -> Slp:
         builder = SlpBuilder(self.field, polyrep.SLP_EXTENDED)
@@ -255,10 +254,6 @@ class CountingPoly:
         indicator = builder.sub(builder.const(1), builder.power(beta, p - 1))
         weight = _weighted_sum(builder, [pow(2, i, p) for i in range(inst.t)], alphas)
         return builder.build(builder.mul(indicator, weight))
-
-
-def build_counting_poly(inst: SubsetSumInstance, p: int) -> CountingPoly:
-    return CountingPoly(inst, p)
 
 
 @dataclass(frozen=True)
@@ -272,15 +267,33 @@ class CountResult:
 
 def count_ssp_via_valueset(inst: SubsetSumInstance, workers: int = 1,
                            prime_policy: str = "smallest", seed: int = 0) -> CountResult:
-    """Count solutions as |V_f| - 1; b = 0 and b > sum(a) short-circuit."""
+    """Count solutions as |V_f| - 1; b = 0 and b > sum(a) short-circuit.
+
+    f(x) depends on x only through its alpha pattern, so the preimage
+    histogram sums the class sizes of the cached pattern table that
+    decide_ssp_via_root reads: value_by_pattern[pat] gains counts[pat].
+    No point is evaluated.  workers is accepted, as callers pass it, and
+    unused.
+    """
     if inst.b > inst.total():
         return CountResult(inst, 0, None)
     if inst.b == 0:
         return CountResult(inst, 1, None)
+    start = time.perf_counter()
     p = find_prime_above(counting_prime_bound(inst), prime_policy, seed)
     _check_gadget_scale(inst, p)
     f = CountingPoly(inst, p)
-    report, _ = counting.count_direct(f, f.field, workers=workers)
+    counts = charsum.pattern_table(p, inst.t).counts
+    if sum(counts) != p:
+        raise AssertionError(f"pattern classes total {sum(counts)}, not p = {p}")
+    entries: dict[int, int] = {}
+    for value, size in zip(f._value_by_pattern, counts):
+        if size:
+            entries[value] = entries.get(value, 0) + size
+    histogram = counting.PreimageHistogram(f.field, entries)
+    report = counting.ValueSetReport(
+        cardinality=len(entries), method="direct", q=p, d=None,
+        histogram=histogram, seconds=time.perf_counter() - start)
     return CountResult(inst, report.cardinality - 1, p, fpoly=f, report=report)
 
 
@@ -415,14 +428,6 @@ def _anf_and(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
     return frozenset(acc)
 
 
-def _anf_eval(anf, bits: int) -> int:
-    acc = 0
-    for mask in anf:
-        if bits & mask == mask:
-            acc ^= 1
-    return acc
-
-
 def _literal_anf(lit: int) -> frozenset[int]:
     mask = 1 << (abs(lit) - 1)
     return frozenset({mask}) if lit > 0 else frozenset({0, mask})
@@ -459,8 +464,12 @@ class Nc05Circuit:
 
     def eval_bits(self, bits: int) -> int:
         out = 0
-        for j, anf in enumerate(self.outputs):
-            if _anf_eval(anf, bits):
+        for j, monos in enumerate(self.outputs):
+            acc = 0
+            for mask in monos:
+                if bits & mask == mask:
+                    acc ^= 1
+            if acc:
                 out |= 1 << j
         return out
 
@@ -531,17 +540,10 @@ def circuit_image_count(circuit: Nc05Circuit) -> int:
     if total_bits > MAX_ORACLE_WIDTH:
         raise DeskScaleExceededError(
             f"n+m = {total_bits} exceeds the 2^(n+m) image cap")
-    compiled = [tuple(anf) for anf in circuit.outputs]
+    eval_bits = circuit.eval_bits
     bitset = bytearray(((1 << total_bits) + 7) >> 3)
     for bits in range(1 << total_bits):
-        out = 0
-        for j, monos in enumerate(compiled):
-            acc = 0
-            for mask in monos:
-                if bits & mask == mask:
-                    acc ^= 1
-            if acc:
-                out |= 1 << j
+        out = eval_bits(bits)
         bitset[out >> 3] |= 1 << (out & 7)
     return sum(byte.bit_count() for byte in bitset)
 

@@ -7,6 +7,7 @@ from valueset.charsum import chi
 from valueset.counting import SymWeights
 from valueset.errors import NonIntegralResultError
 from valueset.ffield import (
+    Field,
     _dense_gcd,
     _dense_mod,
     _dense_monic,
@@ -72,7 +73,7 @@ def newton_reciprocal(d: int) -> SymWeights:
 def mul_poly_reference(field, a: int, b: int) -> int:
     """a * b in F_(p^m) through F_p[x]: multiply the coefficient vectors,
     then reduce by the modulus."""
-    fp = field._prime
+    fp = Field(field.p, 1, None)
     prod = _dense_mul(fp, list(field.coeffs(a)), list(field.coeffs(b)))
     return field.from_coeffs(_dense_mod(fp, prod, list(field.modulus)))
 

@@ -84,6 +84,13 @@ def test_count_direct_cap():
         count_direct(SparsePoly(f, ((1, 2),)))
 
 
+@pytest.mark.parametrize("count", [count_direct, count_symmetric, count_value_set,
+                                   nk_brute], ids=lambda fn: fn.__name__)
+def test_bare_callable_is_not_a_polynomial(count):
+    with pytest.raises(TypeError):
+        count(lambda x: x)
+
+
 def test_count_codomain_monomials():
     assert count_codomain(DensePoly(F5, (0, 0, 0, 1))).cardinality == 5
     assert count_codomain(DensePoly(F7, (0, 0, 0, 1))).cardinality == 3

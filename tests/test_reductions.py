@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import alpha_value, mux_reference, pattern_map
 
-from valueset import counting, polyrep
+from valueset import charsum, counting, polyrep
 from valueset.errors import (
     ClauseTooLongError,
     DeskScaleExceededError,
@@ -17,13 +18,13 @@ from valueset.errors import (
 from valueset.ffield import make_field
 from valueset.reductions import (
     Cnf3,
+    CountingPoly,
     SubsetSumInstance,
     beta_slp,
     brute_subset_count,
     brute_subset_decision,
     build_beta,
     build_circuit,
-    build_counting_poly,
     build_gamma,
     circuit_image_count,
     count_ssp_via_valueset,
@@ -148,18 +149,18 @@ def test_decision_grid_subsample():
 
 def test_counting_poly_values():
     inst = SubsetSumInstance((1, 2), 3)
-    f = build_counting_poly(inst, 67)
+    f = CountingPoly(inst, 67)
     values = {f(x) for x in range(67)}
     assert values == {0, 3}  # zero plus the weight of the solving pattern (1,1)
     with pytest.raises(PrimeTooSmallError):
-        build_counting_poly(inst, 61)  # 61 <= max(2^6, 2*sum(a))
+        CountingPoly(inst, 61)  # 61 <= max(2^6, 2*sum(a))
 
 
 def test_counting_poly_matches_definition():
     # (1 - beta^(p-1)) * sum alpha(x+i) 2^i, evaluated the slow way
     inst = SubsetSumInstance((2, 5, 1), 6)
     p = find_prime_above(counting_prime_bound(inst))
-    f = build_counting_poly(inst, p)
+    f = CountingPoly(inst, p)
     field = make_field(p)
     beta = build_beta(inst, p)
     for x in range(0, p, 7):
@@ -171,7 +172,7 @@ def test_counting_poly_matches_definition():
 
 def test_counting_poly_slp_rendering():
     inst = SubsetSumInstance((1, 2), 3)
-    f = build_counting_poly(inst, 67)
+    f = CountingPoly(inst, 67)
     slp = f.slp()
     assert slp.mode == "extended"
     for x in range(67):
@@ -196,6 +197,33 @@ def test_count_via_valueset_examples():
     assert res.count == 0 and res.p is None and res.fpoly is None
     res = count_ssp_via_valueset(SubsetSumInstance((5,), 0))
     assert res.count == 1 and res.p is None
+
+
+def test_count_sums_pattern_classes_without_evaluating(monkeypatch):
+    # The histogram comes from the pattern classes: it must equal the
+    # point-by-point walk of CountingPoly, and the count must neither call
+    # count_direct nor build the per-point pattern index.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count evaluated points")
+
+    rng = random.Random(8)
+    for t in range(1, 5):
+        for _ in range(2):
+            a = tuple(rng.randint(1, 12) for _ in range(t))
+            for b in (1, sum(a)):
+                for policy, seed in (("smallest", 0), ("random", rng.randrange(100))):
+                    inst = SubsetSumInstance(a, b)
+                    with monkeypatch.context() as m:
+                        m.setattr(counting, "count_direct", refuse)
+                        m.setattr(charsum, "pattern_index_table", refuse)
+                        res = count_ssp_via_valueset(inst, prime_policy=policy, seed=seed)
+                    f, report = res.fpoly, res.report
+                    walk = Counter(f(x) for x in range(res.p))
+                    assert report.histogram.entries == walk, (a, b, policy)
+                    assert report.histogram.field == f.field
+                    assert (report.method, report.q, report.d) == ("direct", res.p, None)
+                    assert report.cardinality == len(walk) == res.count + 1
+                    assert res.count == brute_subset_count(inst)
 
 
 def test_counting_grid_subsample():

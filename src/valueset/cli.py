@@ -132,19 +132,24 @@ def _cmd_reduce(args) -> tuple[dict, int]:
         decision = reductions.decide_ssp_via_root(
             inst, prime_policy=args.prime, seed=args.seed)
         oracle = reductions.brute_subset_decision(inst)
-        beta = reductions.build_beta(inst, decision.p)
-        slp = reductions.beta_slp(inst, decision.p)
-        return {
+        payload = {
             "kind": "ssp-decide",
             "instance": {"a": list(inst.a), "b": str(inst.b)},
-            "p": str(decision.p),
-            "beta": polyrep.serialize_poly(beta),
-            "f_slp": polyrep.serialize_poly(slp),
+            "p": None,
+            "beta": None,
+            "f_slp": None,
             "answer": decision.answer,
             "witness": None if decision.witness is None else str(decision.witness),
             "oracle": oracle,
             "agree": decision.answer == oracle,
-        }, EXIT_OK
+        }
+        if decision.p is not None:
+            payload["p"] = str(decision.p)
+            payload["beta"] = polyrep.serialize_poly(
+                reductions.build_beta(inst, decision.p))
+            payload["f_slp"] = polyrep.serialize_poly(
+                reductions.beta_slp(inst, decision.p))
+        return payload, EXIT_OK
     result = reductions.count_ssp_via_valueset(
         inst, workers=args.workers, prime_policy=args.prime, seed=args.seed)
     oracle = reductions.brute_subset_count(inst)

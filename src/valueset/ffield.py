@@ -48,12 +48,14 @@ def _miller_rabin_witness(n: int, a: int, d: int, r: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Primality test: deterministic below 2^64, 64-round Miller-Rabin above.
 
     The witness set {2,...,37} is exact for n < 2^64.  Above that the bases
     come from a generator seeded by n, so results are reproducible; the
-    error probability is at most 4^-64.
+    error probability is at most 4^-64.  Memoized: the reductions test the
+    same few dozen primes once per instance.
     """
     if n < 2:
         return False

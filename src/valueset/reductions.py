@@ -45,13 +45,14 @@ class SubsetSumInstance:
     b: int
 
     def __post_init__(self):
-        if len(self.a) < 1:
+        a = self.a
+        if len(a) < 1:
             raise ValueError("need at least one element")
-        if any(ai < 1 for ai in self.a):
+        if min(a) < 1:
             raise ValueError("elements must be positive integers")
         if self.b < 0:
             raise ValueError("the target must be nonnegative")
-        object.__setattr__(self, "a", tuple(int(ai) for ai in self.a))
+        object.__setattr__(self, "a", tuple(map(int, a)))
 
     @property
     def t(self) -> int:
@@ -171,18 +172,25 @@ def beta_slp(inst: SubsetSumInstance, p: int) -> Slp:
     return builder.build(_beta_registers(builder, inst, p)[1])
 
 
+@lru_cache(maxsize=64)
+def _subset_sums(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of a_(i+1) * bit_i for every alpha pattern, indexed by the
+    pattern read as bits; built by doubling, as pattern pat + 2^i adds
+    a_(i+1) to pattern pat."""
+    sums = [0]
+    for ai in a:
+        sums += [s + ai for s in sums]
+    return tuple(sums)
+
+
 def _solution_patterns(inst: SubsetSumInstance, p: int) -> list[int]:
-    """The alpha patterns, read as bits, with sum of a_(i+1) * bit_i = b mod p."""
+    """The alpha patterns, read as bits, with sum of a_(i+1) * bit_i = b mod p.
+
+    Every caller has p > sum(a), so each subset sum is its own residue and
+    the patterns are those whose sum equals b mod p.
+    """
     target = inst.b % p
-    hits = []
-    for pat in range(1 << inst.t):
-        s = 0
-        for i, ai in enumerate(inst.a):
-            if pat >> i & 1:
-                s += ai
-        if s % p == target:
-            hits.append(pat)
-    return hits
+    return [pat for pat, s in enumerate(_subset_sums(inst.a)) if s == target]
 
 
 def _check_gadget_scale(inst: SubsetSumInstance, p: int) -> None:
@@ -196,7 +204,7 @@ def _check_gadget_scale(inst: SubsetSumInstance, p: int) -> None:
 @dataclass(frozen=True)
 class RootDecision:
     instance: SubsetSumInstance
-    p: int
+    p: int | None  # None when b > sum(a) short-circuited the reduction
     answer: bool
     witness: int | None
 
@@ -209,8 +217,11 @@ def decide_ssp_via_root(inst: SubsetSumInstance,
     table: beta(x) depends on x only through the pattern
     (alpha(x), ..., alpha(x+t-1)), so the root set is the union of the
     pattern classes whose weighted sum hits b, and the smallest root is the
-    smallest first-occurrence among them.
+    smallest first-occurrence among them.  b > sum(a) short-circuits to
+    False: beta only sees b mod p, which may equal some subset sum.
     """
+    if inst.b > inst.total():
+        return RootDecision(instance=inst, p=None, answer=False, witness=None)
     p = find_prime_above(decision_prime_bound(inst), prime_policy, seed)
     _check_gadget_scale(inst, p)
     table = charsum.pattern_table(p, inst.t)
@@ -235,7 +246,7 @@ class CountingPoly:
                 f"{counting_prime_bound(inst)}, got {p}")
         self.instance = inst
         self.p = p
-        self.field: Field = make_field(p)
+        self.field = Field(p, 1, None)  # p was checked prime above
         # f(x) depends on x only through its alpha pattern, so the 2^t
         # possible values are tabulated once, indexed by the pattern.
         values = [0] * (1 << inst.t)

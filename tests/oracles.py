@@ -29,6 +29,21 @@ def pattern_map(p: int, t: int, x: int) -> tuple[int, ...]:
     return tuple(alpha_value(p, (x + i) % p) for i in range(t))
 
 
+def solution_patterns_reference(inst, p: int) -> list[int]:
+    """The alpha patterns, read as bits, whose weighted sum of a is b mod p,
+    by testing every pattern bit by bit."""
+    target = inst.b % p
+    hits = []
+    for pat in range(1 << inst.t):
+        s = 0
+        for i, ai in enumerate(inst.a):
+            if pat >> i & 1:
+                s += ai
+        if s % p == target:
+            hits.append(pat)
+    return hits
+
+
 def mux_reference(clause, y_i: int, y_next: int, xbits) -> int:
     """The mux form of w_i, evaluated purely on booleans."""
     sat = any((lit > 0) == bool(xbits[abs(lit) - 1]) for lit in clause)

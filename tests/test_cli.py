@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -134,6 +135,45 @@ def test_reduce_ssp_count_shortcircuit(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0 and payload["answer"] == "0"
     assert payload["p"] is None and payload["beta"] is None
+
+
+def test_reduce_ssp_decide_target_above_sum(tmp_path, capsys):
+    # 12 = 1 (mod 11) = a_1 (mod p), but no subset of {1} sums to 12
+    inst = write(tmp_path, "i.ssp", "ssp b=12\n1\n")
+    code, out, _ = run_cli(capsys, "reduce", "ssp-decide", inst)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["answer"] is False and payload["oracle"] is False
+    assert payload["agree"] is True and payload["witness"] is None
+    assert payload["p"] is None and payload["beta"] is None
+    assert payload["f_slp"] is None
+
+
+# SHA-256 of the stdout of both subset-sum reductions, both prime policies
+# and both formats, over the seeded b <= sum(a) instances of the test below.
+SSP_OUTPUTS_SHA256 = "bb52b7871e59e15b81c926aa0be989109c732a1d1ffde2cbdd0e5bba797832bd"
+
+
+def test_reduce_ssp_outputs_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("VALUESET_SEED", raising=False)
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    runs = 0
+    for t in (1, 1, 2, 2, 3, 3, 4, 4):
+        a = [rng.randint(1, 12) for _ in range(t)]
+        for b in (0, 1, rng.randint(0, sum(a)), sum(a)):
+            inst = write(tmp_path, "i.ssp", f"ssp b={b}\n{' '.join(map(str, a))}\n")
+            for kind in ("ssp-decide", "ssp-count"):
+                for prime in (("--prime", "smallest"),
+                              ("--prime", "random", "--seed", "7")):
+                    for fmt in ("json", "text"):
+                        code, out, _ = run_cli(capsys, "reduce", kind, inst,
+                                               *prime, "--format", fmt)
+                        assert code == 0
+                        digest.update(out.encode())
+                        runs += 1
+    assert runs == 256
+    assert digest.hexdigest() == SSP_OUTPUTS_SHA256
 
 
 def test_reduce_sat3(tmp_path, capsys):

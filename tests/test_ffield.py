@@ -116,6 +116,23 @@ def test_is_prime_examples():
     assert is_prime(2 ** 89 - 1)  # Mersenne prime, exercises the big-n path
 
 
+def test_is_prime_cache_keeps_answers():
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5, 7, a prime
+    # below 2^64 and a probable prime above it
+    cases = {561: False, 3215031751: False, 2 ** 61 - 1: True, 2 ** 89 - 1: True}
+    is_prime.cache_clear()
+    cold = {n: is_prime(n) for n in cases}
+    warm = {n: is_prime(n) for n in cases}
+    assert is_prime.cache_info().hits >= len(cases)
+    is_prime.cache_clear()
+    assert cold == warm == {n: is_prime(n) for n in cases} == cases
+    maxsize = is_prime.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 100):
+        is_prime(n)
+    assert is_prime.cache_info().currsize <= maxsize
+
+
 def test_is_prime_against_trial_division():
     rng = random.Random(11)
     for _ in range(400):

@@ -6,7 +6,12 @@ from collections import Counter
 
 import pytest
 
-from oracles import alpha_value, mux_reference, pattern_map
+from oracles import (
+    alpha_value,
+    mux_reference,
+    pattern_map,
+    solution_patterns_reference,
+)
 
 from valueset import charsum, counting, polyrep
 from valueset.errors import (
@@ -20,6 +25,7 @@ from valueset.reductions import (
     Cnf3,
     CountingPoly,
     SubsetSumInstance,
+    _solution_patterns,
     beta_slp,
     brute_subset_count,
     brute_subset_decision,
@@ -61,12 +67,13 @@ def test_find_prime_above_random_policy():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one element"):
         SubsetSumInstance((), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="elements must be positive integers"):
         SubsetSumInstance((0, 2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the target must be nonnegative"):
         SubsetSumInstance((1,), -1)
+    assert SubsetSumInstance([3, 1], 2).a == (3, 1)
 
 
 def test_ssp_file_roundtrip():
@@ -126,12 +133,44 @@ def test_decide_witness_is_smallest_root():
         inst = SubsetSumInstance(
             tuple(rng.randrange(1, 15) for _ in range(t)), rng.randrange(0, 30))
         d = decide_ssp_via_root(inst)
+        if inst.b > inst.total():  # short-circuited: no prime, no beta
+            assert (d.answer, d.p, d.witness) == (False, None, None)
+            continue
         beta = build_beta(inst, d.p)
         roots = [x for x in range(d.p) if polyrep.evaluate(beta, x) == 0]
         if d.answer:
             assert d.witness == roots[0]
         else:
             assert not roots and d.witness is None
+
+
+def test_decide_target_above_sum_is_false():
+    # 12 = 1 (mod 11): beta over F_11 has roots, yet no subset of {1} sums to 12
+    d = decide_ssp_via_root(SubsetSumInstance((1,), 12))
+    assert (d.answer, d.p, d.witness) == (False, None, None)
+    for a in itertools.combinations_with_replacement(range(1, 6), 2):
+        p = find_prime_above(decision_prime_bound(SubsetSumInstance(a, 0)))
+        for b in range(sum(a) + 1, sum(a) + 2 * p):
+            d = decide_ssp_via_root(SubsetSumInstance(a, b))
+            assert (d.answer, d.p, d.witness) == (False, None, None), (a, b)
+
+
+def test_solution_patterns_match_bitwise_reference():
+    # The lookup scans the subset sums cached per a; the reference sums
+    # every pattern bit by bit.  Same patterns, same order, for any p above
+    # sum(a) that either reduction or prime policy picks.
+    rng = random.Random(12)
+    for t in range(1, 9):
+        for _ in range(3):
+            a = tuple(rng.randint(1, 20) for _ in range(t))
+            total = sum(a)
+            for b in (0, 1, rng.randint(0, total), total, total + 1):
+                inst = SubsetSumInstance(a, b)
+                for bound in (decision_prime_bound(inst), counting_prime_bound(inst)):
+                    for policy, seed in (("smallest", 0), ("random", rng.randrange(100))):
+                        p = find_prime_above(bound, policy, seed)
+                        assert (list(_solution_patterns(inst, p))
+                                == solution_patterns_reference(inst, p)), (a, b, p)
 
 
 def test_decide_scale_guard():

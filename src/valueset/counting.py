@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,11 +125,16 @@ def _check_enumerable(q: int) -> None:
         raise OrderTooLargeError(f"q = {q} exceeds the enumeration cap 2^26")
 
 
-def _resolve(f):
-    """The evaluator and field of a polynomial representation."""
+def _field_of(f) -> Field:
     if not isinstance(f, PolyInput):
         raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
-    return polyrep.evaluator(f), f.field
+    return f.field
+
+
+def _resolve(f):
+    """The evaluator and field of a polynomial representation."""
+    fld = _field_of(f)
+    return polyrep.evaluator(f), fld
 
 
 def _assert_bounds(cardinality: int, q: int, d: int | None) -> None:
@@ -148,21 +154,32 @@ def _assert_bounds(cardinality: int, q: int, d: int | None) -> None:
 
 
 def count_direct(f, workers: int = 1):
-    """Evaluate everywhere; returns (report, preimage histogram)."""
+    """Evaluate everywhere; returns (report, preimage histogram).
+
+    Over a prime field the values come a block of points at a time from
+    polyrep.block_values and workers is unused; over an extension field
+    the compiled evaluator runs point by point over the chunks of [0, q).
+    """
     start = time.perf_counter()
-    ev, fld = _resolve(f)
+    fld = _field_of(f)
     q = fld.q
     _check_enumerable(q)
+    if fld.m == 1:
+        entries = Counter()
+        for values in polyrep.block_values(f):
+            entries.update(values)
+    else:
+        ev = polyrep.evaluator(f)
 
-    def work(lo, hi):
-        hist: dict[int, int] = {}
-        get = hist.get
-        for x in range(lo, hi):
-            y = ev(x)
-            hist[y] = get(y, 0) + 1
-        return hist
+        def work(lo, hi):
+            hist: dict[int, int] = {}
+            get = hist.get
+            for x in range(lo, hi):
+                y = ev(x)
+                hist[y] = get(y, 0) + 1
+            return hist
 
-    entries = merge_counters(map_chunks(work, q, workers))
+        entries = merge_counters(map_chunks(work, q, workers))
     histogram = PreimageHistogram(fld, entries)
     bound = polyrep.degree_bound(f)
     d = bound.bound if bound.exact else None

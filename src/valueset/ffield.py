@@ -204,6 +204,32 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _primitive_element(n: int, candidates, is_one) -> int:
+    """The first candidate g of multiplicative order n, where is_one(g, e)
+    tells whether g^e = 1: g has order n iff g^(n/r) != 1 for every prime
+    r | n (the cofactor order test)."""
+    cofactors = [n // r for r in _prime_factors(n)]
+    for g in candidates:
+        if not any(is_one(g, e) for e in cofactors):
+            return g
+    raise AssertionError("no multiplicative generator found; field is corrupt")
+
+
+def prime_logexp(p: int) -> tuple[list[int], list[int]]:
+    """Discrete-log tables of F_p for its first primitive root g (trial
+    order 1, 2, ...): exp[j] = g^j for 0 <= j < p - 1 and log[g^j] = j;
+    log[0] is 0 and means nothing."""
+    n = p - 1
+    g = _primitive_element(n, range(1, p), lambda g, e: pow(g, e, p) == 1)
+    exp = [1] * n
+    for j in range(1, n):
+        exp[j] = exp[j - 1] * g % p
+    log = [0] * p
+    for j, y in enumerate(exp):
+        log[y] = j
+    return log, exp
+
+
 def is_irreducible(poly: list[int], p: int) -> bool:
     """Rabin test: poly (monic, little-endian coeffs, degree >= 1) over F_p."""
     poly = list(poly)
@@ -595,14 +621,9 @@ class Field:
         -1 where 1 + g^n = 0 (None for p = 2, where addition is XOR)."""
         p, q, n = self.p, self.q, self.q - 1
         fp = Field(p, 1, None)
-        cofactors = [n // r for r in _prime_factors(n)]
         # Candidates below p are F_p constants, of order dividing p - 1 < q - 1.
-        for g in range(p, q):
-            if all(_dense_powmod(fp, self.coeffs(g), e, self.modulus) != [1]
-                   for e in cofactors):
-                break
-        else:
-            raise AssertionError("no multiplicative generator found; field is corrupt")
+        g = _primitive_element(n, range(p, q), lambda g, e: _dense_powmod(
+            fp, self.coeffs(g), e, self.modulus) == [1])
         add = xor if p == 2 else partial(_add_digits, p, 1)
 
         def scale(c, a):

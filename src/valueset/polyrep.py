@@ -30,6 +30,7 @@ from .ffield import (
     _dense_powmod,
     _dense_sub,
     make_field,
+    prime_logexp,
 )
 
 SLP_STRICT = "strict"
@@ -356,6 +357,86 @@ def evaluator(f):
     if isinstance(f, Slp):
         return _compile_slp(f, field.add, field.sub, field.mul, lambda c: c)
     raise TypeError(f"not a polynomial representation: {type(f).__name__}")
+
+
+# Points per list in block_values: enough that a list-level kernel spends
+# its time on points, not on per-block set-up, and few enough that a
+# block's lists stay small.
+BLOCK = 4096
+
+
+def block_values(f):
+    """f's values at all p points of a prime field F_p, one list per block.
+
+    Every point contributes one value to one list, in no fixed order.
+    Dense: Horner's rule over a block of points.  Sparse: x = g^j walks
+    F_p^* for a primitive root g, term c*x^e reads
+    exp[(log c + e*j) mod (p-1)], and x = 0 takes the constant term.
+    Shift: the map y -> a*y^e is tabulated once per triple through the
+    log table and rotated by b.  Slp: the program's registers are lists.
+    The log/exp tables are built per call, for sparse and shift inputs only.
+    """
+    field = f.field
+    if field.m != 1:
+        raise ValueError("block evaluation needs a prime field")
+    p = field.p
+    if isinstance(f, DensePoly):
+        top, *rest = f.coeffs[::-1] or (0,)
+        for lo in range(0, p, BLOCK):
+            xs = range(lo, min(lo + BLOCK, p))
+            acc = [top] * len(xs)
+            for c in rest:
+                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+            yield acc
+    elif isinstance(f, SparsePoly):
+        log, exp = prime_logexp(p)
+        n = p - 1
+        terms = reduce_exponents(f).terms  # exponents 0 or 1..p-1
+        c0 = terms[0][0] if terms and terms[0][1] == 0 else 0
+        walk = [(log[c], e) for c, e in terms if e]
+        yield [c0]  # x = 0, where every term with e >= 1 vanishes
+        for lo in range(0, n, BLOCK):
+            hi = min(lo + BLOCK, n)
+            acc = [c0] * (hi - lo)
+            for k, e in walk:
+                acc = [a + exp[i % n]
+                       for a, i in zip(acc, range(k + e * lo, k + e * hi, e))]
+            yield [a % p for a in acc]
+    elif isinstance(f, SparseShiftPoly):
+        log, exp = prime_logexp(p)
+        n = p - 1
+        const = f.constant
+        shifted = []
+        for a, b, e in f.triples:
+            if not e:  # a*(x+b)^0 = a everywhere, 0^0 = 1 included
+                const += a
+                continue
+            e = 1 + (e - 1) % n
+            k = log[a]
+            power = [0] + [exp[(k + e * j) % n] for j in log[1:]]  # y -> a*y^e
+            shifted.append(power[b:] + power[:b])  # x -> a*(x+b)^e
+        for lo in range(0, p, BLOCK):
+            acc = [const] * (min(lo + BLOCK, p) - lo)
+            for table in shifted:
+                acc = list(map(operator.add, acc, table[lo:lo + BLOCK]))
+            yield [a % p for a in acc]
+    elif isinstance(f, Slp):
+        def add(u, v):
+            return [(a + b) % p for a, b in zip(u, v)]
+
+        def sub(u, v):
+            return [(a - b) % p for a, b in zip(u, v)]
+
+        def mul(u, v):
+            return [a * b % p for a, b in zip(u, v)]
+
+        # A constant register is one full block; zip cuts it to the points.
+        run = _compile_slp(f, add, sub, mul, lambda c: [c] * BLOCK)
+        for lo in range(0, p, BLOCK):
+            xs = range(lo, min(lo + BLOCK, p))
+            yield run(xs)[:len(xs)]
+    else:
+        raise TypeError(f"not a polynomial representation: {type(f).__name__}")
 
 
 # ---------------------------------------------------------------------------

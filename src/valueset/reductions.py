@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import charsum, counting, polyrep
@@ -43,6 +43,9 @@ class SubsetSumInstance:
 
     a: tuple[int, ...]
     b: int
+    # Derived from a by __post_init__, once: the reductions read both per use.
+    t: int = dc_field(init=False, repr=False, compare=False)
+    _total: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.a
@@ -52,14 +55,13 @@ class SubsetSumInstance:
             raise ValueError("elements must be positive integers")
         if self.b < 0:
             raise ValueError("the target must be nonnegative")
-        object.__setattr__(self, "a", tuple(map(int, a)))
-
-    @property
-    def t(self) -> int:
-        return len(self.a)
+        a = tuple(map(int, a))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "t", len(a))
+        object.__setattr__(self, "_total", sum(a))
 
     def total(self) -> int:
-        return sum(self.a)
+        return self._total
 
 
 def parse_ssp(text: str) -> SubsetSumInstance:

@@ -257,11 +257,12 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     failures = []
     cases = 0
     for a in _decision_grid():
+        masks_by_sum = _masks_by_sum(a)
         for b in range(sum(a) + 1):
             inst = reductions.SubsetSumInstance(a, b)
             cases += 1
             got = reductions.decide_ssp_via_root(inst).answer
-            want = reductions.brute_subset_decision(inst)
+            want = b in masks_by_sum
             if got != want:
                 failures.append((a, b))
                 if len(failures) > 5:
@@ -273,6 +274,7 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     cases = 0
     for a in _counting_grid():
         total = sum(a)
+        masks_by_sum = _masks_by_sum(a)
         for b in range(total + 2):  # b = total+1 exercises the b > sum short-circuit
             inst = reductions.SubsetSumInstance(a, b)
             cases += 1
@@ -283,7 +285,7 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
                 continue
             if res.report is not None and res.report.histogram is not None:
                 values = set(res.report.histogram.entries)
-                weights = _solution_weights(inst)
+                weights = masks_by_sum.get(b, set())
                 if 0 not in values or not values <= weights | {0}:
                     structure_failures.append((a, b))
     results.append(_result("ssp_counting_grid_t<=4_a<=12", failures, cases))
@@ -358,13 +360,19 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     return results
 
 
-def _solution_weights(inst: reductions.SubsetSumInstance) -> set[int]:
-    weights = set()
-    for mask in range(1 << inst.t):
-        s = sum(ai for i, ai in enumerate(inst.a) if mask >> i & 1)
-        if s == inst.b:
-            weights.add(mask)
-    return weights
+def _masks_by_sum(a) -> dict[int, set[int]]:
+    """The masks of a (bit i picks a[i]) grouped by their subset sum.
+
+    The 2^t sums are built by doubling: the masks with bit i set follow
+    those without it, each with a[i] added.
+    """
+    sums = [0]
+    for ai in a:
+        sums += [s + ai for s in sums]
+    by_sum: dict[int, set[int]] = {}
+    for mask, s in enumerate(sums):
+        by_sum.setdefault(s, set()).add(mask)
+    return by_sum
 
 
 def run_suites(names, seed: int = 0, workers: int = 1) -> list[CheckResult]:

@@ -3,6 +3,7 @@
 import math
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,9 @@ from valueset.errors import (
     ZeroPolynomialError,
 )
 from valueset.ffield import Field, _dense_monic, _dense_powmod, _packed_xq, make_field
+from valueset import polyrep
 from valueset.parallel import map_chunks
-from valueset.polyrep import DensePoly, SparsePoly, SparseShiftPoly
+from valueset.polyrep import DensePoly, Slp, SparsePoly, SparseShiftPoly
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -76,6 +78,56 @@ def test_count_direct_histogram_invariants():
             assert hist.total() == field.q
             assert hist.num_values() == report.cardinality
             assert hist.max_preimage() <= f.degree
+
+
+def block_route_cases(field, rng):
+    """Zero, constants, exponents >= p, multiples of p - 1 and e = 0 terms,
+    shifts with b = 0 or e = 0, and programs whose output is x, a constant,
+    or a use of sub, each cheap to evaluate at every point of F_8191."""
+    p = field.p
+
+    def r(lo=0):
+        return rng.randrange(lo, p)
+
+    yield DensePoly(field, ())
+    yield DensePoly(field, (r(1),))
+    yield DensePoly(field, tuple(r() for _ in range(5)) + (r(1),))
+    yield SparsePoly(field, ())
+    yield SparsePoly(field, ((r(1), 0),))
+    yield SparsePoly(field, ((r(1), 0), (r(1), p - 1), (r(1), 2 * (p - 1)),
+                             (r(1), p), (r(1), 3 * p + 2)))
+    yield SparsePoly(field, ((1, 1), (r(1), rng.randrange(2, 2 * p))))
+    yield SparseShiftPoly(field, (), r(1))
+    yield SparseShiftPoly(field, ((r(1), 0, rng.randrange(1, 2 * p)),
+                                  (r(1), r(), 0)), r())
+    yield SparseShiftPoly(field, tuple(
+        (r(1), r(), rng.randrange(1, 3 * p)) for _ in range(3)), r())
+    yield Slp(field, (("x",),), 1)
+    yield Slp(field, (("x",), ("const", r())), 2)
+    yield Slp(field, (("x",), ("const", r()), ("sub", 2, 1), ("mul", 3, 3),
+                      ("sub", 4, 2), ("mul", 5, 1)), 6)
+
+
+# F_2 has p - 1 = 1; F_4099 and F_8191 span two blocks (polyrep.BLOCK is
+# 4096), the last one partial.
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 4099, 8191])
+def test_block_route_matches_pointwise_evaluator(p, monkeypatch):
+    field = make_field(p)
+    rng = random.Random(p)
+    polys = list(block_route_cases(field, rng))
+    if p <= 13:  # degree >= p, and up to 3p, where that costs little
+        polys += sample_polys(field, rng)
+    want = []
+    for f in polys:
+        ev = polyrep.evaluator(f)
+        want.append(Counter(ev(x) for x in range(p)))
+
+    def no_pointwise(f):
+        raise AssertionError("a prime-field count called the pointwise evaluator")
+
+    monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
+    for f, hist in zip(polys, want):
+        assert count_direct(f)[1].entries == hist, f
 
 
 def test_count_direct_cap():

@@ -76,6 +76,15 @@ def test_instance_validation():
     assert SubsetSumInstance([3, 1], 2).a == (3, 1)
 
 
+def test_instance_derived_fields():
+    inst = SubsetSumInstance([3, 1, 3], 2)
+    assert (inst.t, inst.total()) == (3, 7)
+    assert repr(inst) == "SubsetSumInstance(a=(3, 1, 3), b=2)"
+    twin = SubsetSumInstance((3, 1, 3), 2)
+    assert inst == twin and hash(inst) == hash(twin)
+    assert inst != SubsetSumInstance((3, 1, 3), 1)
+
+
 def test_ssp_file_roundtrip():
     inst = SubsetSumInstance((1, 2), 3)
     assert parse_ssp(serialize_ssp(inst)) == inst

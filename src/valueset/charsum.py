@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .errors import EvenCharacteristicError, NotPrimeError, OrderTooLargeError
 from .ffield import ENUMERATION_CAP, is_prime, make_field
-from .parallel import map_chunks
 from .polyrep import SparsePoly
 
 MAX_PATTERN_WIDTH = 20
@@ -111,41 +110,31 @@ class PatternCoverage:
         }
 
 
-def coverage(p: int, t: int, workers: int = 1) -> PatternCoverage:
+def _window_patterns(p: int, t: int):
+    """pattern(x) = sum(alpha(x + i) << i for i < t), for x = 0, 1, ..., p - 1.
+
+    A window may wrap F_p more than once (t - 1 > p).
+    """
+    top = t - 1
+    ext = alpha_table(p) * -(-(p + top) // p)  # alpha(i mod p) for i < p + t - 1
+    pat = sum(ext[i] << (i + 1) for i in range(top))
+    for x in range(p):
+        pat = (pat >> 1) | (ext[x + top] << top)
+        yield pat
+
+
+def coverage(p: int, t: int) -> PatternCoverage:
     """Count every pattern by a single sliding-window pass over F_p."""
     _check_odd_prime(p)
     if not 1 <= t <= MAX_PATTERN_WIDTH:
         raise ValueError(f"t must be in [1, {MAX_PATTERN_WIDTH}]")
-    table = alpha_table(p)
-    ext = table + table[:t - 1] if t > 1 else table
     size = 1 << t
-    top = t - 1
-
-    def work(lo, hi):
-        counts = [0] * size
-        first: list[int | None] = [None] * size
-        pat = 0
-        for i in range(t):
-            pat |= ext[lo + i] << i
-        x = lo
-        while True:
-            counts[pat] += 1
-            if first[pat] is None:
-                first[pat] = x
-            x += 1
-            if x >= hi:
-                break
-            pat = (pat >> 1) | (ext[x + top] << top)
-        return counts, first
-
-    parts = map_chunks(work, p, workers)
     counts = [0] * size
     first: list[int | None] = [None] * size
-    for pc, pf in parts:
-        for i in range(size):
-            counts[i] += pc[i]
-            if pf[i] is not None and (first[i] is None or pf[i] < first[i]):
-                first[i] = pf[i]
+    for x, pat in enumerate(_window_patterns(p, t)):
+        counts[pat] += 1
+        if first[pat] is None:
+            first[pat] = x
     root = math.isqrt(p)
     center = Fraction(p, 1 << t)
     spread = t * (3 + root)
@@ -156,7 +145,7 @@ def coverage(p: int, t: int, workers: int = 1) -> PatternCoverage:
 
 @lru_cache(maxsize=64)
 def pattern_table(p: int, t: int) -> PatternCoverage:
-    """Cached single-worker coverage; reused by the subset-sum reductions."""
+    """Cached coverage; reused by the subset-sum reductions."""
     return coverage(p, t)
 
 
@@ -165,18 +154,7 @@ def pattern_index_table(p: int, t: int) -> bytes:
     """pattern(x) for every x in [0, p), packed one byte per point (t <= 8)."""
     if not 1 <= t <= 8:
         raise ValueError("t must be in [1, 8] for the packed table")
-    table = alpha_table(p)
-    ext = table + table[:t - 1] if t > 1 else table
-    out = bytearray(p)
-    pat = 0
-    for i in range(t):
-        pat |= ext[i] << i
-    top = t - 1
-    for x in range(p - 1):
-        out[x] = pat
-        pat = (pat >> 1) | (ext[x + 1 + top] << top)
-    out[p - 1] = pat
-    return bytes(out)
+    return bytes(_window_patterns(p, t))
 
 
 def is_onto(p: int, t: int) -> bool:

@@ -3,8 +3,9 @@
 stdout carries exactly one machine-readable report; diagnostics go to
 stderr.  Exit codes: 0 success, 1 failed verification, 2 malformed input,
 3 desk-scale limits exceeded, 4 internal assertion.  A fixed seed makes
-every randomized choice reproducible, and worker count never changes the
-output bytes.
+every randomized choice reproducible.  --workers is accepted and checked
+to be at least 1 but has no effect: every enumeration runs as one serial
+loop.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized choices "
                              "(env VALUESET_SEED overrides)")
     common.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                        help="number of fixed chunks enumerations are split "
-                             "into; chunks run serially, output never changes")
+                        help="accepted for compatibility and checked to be "
+                             ">= 1; has no effect")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", default="-",
                         help="output path, '-' for stdout")
@@ -98,21 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> tuple[dict, int]:
     f = polyrep.parse_poly(Path(args.polyfile).read_text())
     report = counting.count_value_set(
-        f, method=args.method, nk_source=args.nk, workers=args.workers)
+        f, method=args.method, nk_source=args.nk)
     return report.to_json_dict(f.field, polyrep.serialize_poly(f)), EXIT_OK
 
 
 def _cmd_permtest(args) -> tuple[dict, int]:
     f = polyrep.parse_poly(Path(args.polyfile).read_text())
-    report = counting.count_value_set(f, method=args.method,
-                                      workers=args.workers)
+    report = counting.count_value_set(f, method=args.method)
     payload = report.to_json_dict(f.field, polyrep.serialize_poly(f))
     payload["is_permutation"] = report.cardinality == report.q
     return payload, EXIT_OK
 
 
 def _cmd_char(args) -> tuple[dict, int]:
-    cov = charsum.coverage(args.p, args.t, workers=args.workers)
+    cov = charsum.coverage(args.p, args.t)
     if args.action == "onto":
         return {"p": cov.p, "t": cov.t, "onto": cov.onto}, EXIT_OK
     return cov.to_json_dict(), EXIT_OK
@@ -122,8 +122,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     text = Path(args.input).read_text()
     if args.kind == "sat3":
         cnf = reductions.parse_dimacs(text)
-        report, construction = reductions.gamma_image_check(
-            cnf, workers=args.workers)
+        report, construction = reductions.gamma_image_check(cnf)
         payload = report.to_json_dict(construction.field)
         payload["gamma_terms"] = len(construction.gamma.terms)
         return payload, EXIT_OK
@@ -151,7 +150,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
                 reductions.beta_slp(inst, decision.p))
         return payload, EXIT_OK
     result = reductions.count_ssp_via_valueset(
-        inst, workers=args.workers, prime_policy=args.prime, seed=args.seed)
+        inst, prime_policy=args.prime, seed=args.seed)
     oracle = reductions.brute_subset_count(inst)
     payload = {
         "kind": "ssp-count",
@@ -170,8 +169,7 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    results = verify.run_suites(args.suite, seed=args.seed,
-                                workers=args.workers)
+    results = verify.run_suites(args.suite, seed=args.seed)
     passed = all(r.passed for r in results)
     payload = {
         "suite": args.suite,

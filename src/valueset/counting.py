@@ -28,7 +28,6 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .ffield import ENUMERATION_CAP, Field, _dense_monic, root_test
-from .parallel import map_chunks, merge_counters
 from .polyrep import DensePoly, PolyInput, SparsePoly
 
 # Expansion limit used when the symmetric method has to densify a
@@ -132,7 +131,12 @@ def _field_of(f) -> Field:
 
 
 def _resolve(f):
-    """The evaluator and field of a polynomial representation."""
+    """The pointwise evaluator and field of a polynomial representation.
+
+    nk_brute and the hypersurface count evaluate point by point, not
+    through block_values, so that their N_k cross-checks the block kernels
+    count_direct runs on.
+    """
     fld = _field_of(f)
     return polyrep.evaluator(f), fld
 
@@ -153,33 +157,18 @@ def _assert_bounds(cardinality: int, q: int, d: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def count_direct(f, workers: int = 1):
+def count_direct(f):
     """Evaluate everywhere; returns (report, preimage histogram).
 
-    Over a prime field the values come a block of points at a time from
-    polyrep.block_values and workers is unused; over an extension field
-    the compiled evaluator runs point by point over the chunks of [0, q).
+    The values come a block of points at a time from polyrep.block_values.
     """
     start = time.perf_counter()
     fld = _field_of(f)
     q = fld.q
     _check_enumerable(q)
-    if fld.m == 1:
-        entries = Counter()
-        for values in polyrep.block_values(f):
-            entries.update(values)
-    else:
-        ev = polyrep.evaluator(f)
-
-        def work(lo, hi):
-            hist: dict[int, int] = {}
-            get = hist.get
-            for x in range(lo, hi):
-                y = ev(x)
-                hist[y] = get(y, 0) + 1
-            return hist
-
-        entries = merge_counters(map_chunks(work, q, workers))
+    entries = Counter()
+    for values in polyrep.block_values(f):
+        entries.update(values)
     histogram = PreimageHistogram(fld, entries)
     bound = polyrep.degree_bound(f)
     d = bound.bound if bound.exact else None
@@ -200,11 +189,11 @@ def has_root(g: DensePoly) -> bool:
     return root_test(g.field, g.degree)(_dense_monic(g.field, list(g.coeffs)))
 
 
-def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
+def count_codomain(f: DensePoly) -> ValueSetReport:
     """For each a in F_q decide whether f - a has a root; count the hits.
 
-    Keeps only a counter per chunk (never the image set), so space stays
-    polynomial in d*log(q).
+    Keeps only a counter (never the image set), so space stays polynomial
+    in d*log(q).
     """
     start = time.perf_counter()
     if not isinstance(f, DensePoly):
@@ -220,16 +209,11 @@ def count_codomain(f: DensePoly, workers: int = 1) -> ValueSetReport:
         # over F_q as a does: count over the monic f, one test per count.
         monic = _dense_monic(field, list(f.coeffs))
         test, sub, c0 = root_test(field, d), field.sub, monic[0]
-
-        def work(lo, hi):
-            count = 0
-            g = list(monic)
-            for a in range(lo, hi):
-                g[0] = sub(c0, a)
-                count += test(g)
-            return count
-
-        cardinality = sum(map_chunks(work, q, workers))
+        cardinality = 0
+        g = list(monic)
+        for a in range(q):
+            g[0] = sub(c0, a)
+            cardinality += test(g)
     _assert_bounds(cardinality, q, d)
     return ValueSetReport(
         cardinality=cardinality, method="codomain", q=q, d=d,
@@ -351,8 +335,7 @@ def nk_brute(f, k: int = 1) -> int:
     return count
 
 
-def count_hypersurface_points(f, k: int = 2, literal: bool = False,
-                              workers: int = 1) -> HypersurfaceCount:
+def count_hypersurface_points(f, k: int = 2, literal: bool = False) -> HypersurfaceCount:
     """Zeros of sum_j z_(j-1) (f(x_1) - f(x_j)) over F_q^k x F_q^(k-1).
 
     The default path enumerates x-tuples and counts z-solutions analytically:
@@ -369,40 +352,27 @@ def count_hypersurface_points(f, k: int = 2, literal: bool = False,
         raise OrderTooLargeError(
             f"q^(2k-1) = {q ** (2 * k - 1)} exceeds the enumeration cap")
     values = [ev(x) for x in range(q)]
-
+    total = 0
     if literal:
         sub, mul, add = fld.sub, fld.mul, fld.add
-
-        def work(lo, hi):
-            count = 0
-            for x1 in range(lo, hi):
-                v1 = values[x1]
-                for rest in itertools.product(range(q), repeat=k - 1):
-                    diffs = [sub(v1, values[xj]) for xj in rest]
-                    for z in itertools.product(range(q), repeat=k - 1):
-                        acc = 0
-                        for zj, dj in zip(z, diffs):
-                            acc = add(acc, mul(zj, dj))
-                        if acc == 0:
-                            count += 1
-            return count
-
+        for v1 in values:
+            for rest in itertools.product(range(q), repeat=k - 1):
+                diffs = [sub(v1, values[xj]) for xj in rest]
+                for z in itertools.product(range(q), repeat=k - 1):
+                    acc = 0
+                    for zj, dj in zip(z, diffs):
+                        acc = add(acc, mul(zj, dj))
+                    if acc == 0:
+                        total += 1
     else:
         all_equal = q ** (k - 1)
         generic = q ** (k - 2)
-
-        def work(lo, hi):
-            count = 0
-            for x1 in range(lo, hi):
-                v1 = values[x1]
-                for rest in itertools.product(values, repeat=k - 1):
-                    if all(v == v1 for v in rest):
-                        count += all_equal
-                    else:
-                        count += generic
-            return count
-
-    total = sum(map_chunks(work, q, workers))
+        for v1 in values:
+            for rest in itertools.product(values, repeat=k - 1):
+                if all(v == v1 for v in rest):
+                    total += all_equal
+                else:
+                    total += generic
     return HypersurfaceCount(k=k, q=q, count=total)
 
 
@@ -447,7 +417,7 @@ def reduced_poly(f):
     return reduced_poly(dense)
 
 
-def count_symmetric(f, nk_source: str = "histogram", workers: int = 1) -> ValueSetReport:
+def count_symmetric(f, nk_source: str = "histogram") -> ValueSetReport:
     """Exact |V_f| from the alternating N_k / sigma_i sum.
 
     The rational accumulation is shadowed by an all-integer path (the same
@@ -469,7 +439,7 @@ def count_symmetric(f, nk_source: str = "histogram", workers: int = 1) -> ValueS
     weights = sym_weights(d)
     histogram = None
     if nk_source == "histogram":
-        _, histogram = count_direct(g, workers=workers)
+        _, histogram = count_direct(g)
         nk = nk_from_histogram(histogram, d)
     elif nk_source == "brute":
         nk = EqualValueCounts(
@@ -477,7 +447,7 @@ def count_symmetric(f, nk_source: str = "histogram", workers: int = 1) -> ValueS
     else:
         counts = [q]
         for k in range(2, d + 1):
-            surf = count_hypersurface_points(g, k=k, workers=workers)
+            surf = count_hypersurface_points(g, k=k)
             counts.append(nk_from_hypersurface(surf))
         nk = EqualValueCounts(d, tuple(counts), "hypersurface")
 
@@ -504,21 +474,21 @@ def count_symmetric(f, nk_source: str = "histogram", workers: int = 1) -> ValueS
         histogram=histogram, seconds=time.perf_counter() - start)
 
 
-def count_value_set(f, method: str = "direct", nk_source: str = "histogram",
-                    workers: int = 1) -> ValueSetReport:
+def count_value_set(f, method: str = "direct",
+                    nk_source: str = "histogram") -> ValueSetReport:
     """Dispatch over the three algorithms."""
     if method == "direct":
-        report, _ = count_direct(f, workers=workers)
+        report, _ = count_direct(f)
         return report
     if method == "codomain":
         g = f if isinstance(f, DensePoly) else polyrep.to_dense(f, EXPANSION_CAP)
-        return count_codomain(g, workers=workers)
+        return count_codomain(g)
     if method == "symmetric":
-        return count_symmetric(f, nk_source=nk_source, workers=workers)
+        return count_symmetric(f, nk_source=nk_source)
     raise ValueError(f"unknown method {method!r}")
 
 
-def is_permutation(f, method: str = "direct", workers: int = 1) -> bool:
+def is_permutation(f, method: str = "direct") -> bool:
     """True iff the induced map is a bijection (|V_f| = q)."""
-    report = count_value_set(f, method=method, workers=workers)
+    report = count_value_set(f, method=method)
     return report.cardinality == report.q

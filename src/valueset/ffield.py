@@ -560,7 +560,7 @@ def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
 class Field:
     """F_(p^m) with elements addressed by canonical integer index.
 
-    Immutable and safe to share across workers; all operations are pure.
+    Immutable; all operations are pure.
     add, sub, mul, inv and pow(a, e) (with 0**0 == 1) are functions chosen
     once, at construction, for the field's shape: % p in a prime field;
     log/exp tables for extension fields with q <= _TABLE_CAP, XOR sums for

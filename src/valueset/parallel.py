@@ -1,9 +1,9 @@
-"""Deterministic chunked execution for enumeration-heavy operations.
+"""Deterministic chunked execution: fn(lo, hi) over a fixed partition.
 
-The range is cut into fixed chunks by the worker count, each chunk computes
-an independent partial result, and partials are merged in chunk order.
-Chunks run one after another in the calling thread: the worker count sets
-only the partition, so the output is identical for any worker count.
+No package module imports this: every counter runs one serial loop.  It
+is kept, with ffield.split_range, only because bench/run.py binds
+map_chunks and merge_counters; both go when the benchmark stops binding
+them (ROADMAP item 1).
 """
 
 from __future__ import annotations

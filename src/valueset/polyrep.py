@@ -3,8 +3,9 @@
 All four representations share a Field and evaluate to the same induced map
 F_q -> F_q.  Coefficients are canonical element indices (see ffield); sparse
 and sparse-shift exponents are arbitrary-precision nonnegative integers.
-Values are immutable after construction, so they are safe to share between
-workers.
+Values are immutable after construction.  evaluator compiles any
+representation into a pointwise callable; block_values yields the values
+at every point of the field a block at a time, for counting.
 """
 
 from __future__ import annotations
@@ -311,25 +312,15 @@ def evaluator(f):
     field = f.field
     if isinstance(f, DensePoly):
         rev = tuple(reversed(f.coeffs))
-        if field.m == 1:
-            p = field.p
-
-            def eval_dense_prime(x, _rev=rev, _p=p):
-                acc = 0
-                for c in _rev:
-                    acc = (acc * x + c) % _p
-                return acc
-
-            return eval_dense_prime
         add, mul = field.add, field.mul
 
-        def eval_dense_ext(x, _rev=rev):
+        def eval_dense(x, _rev=rev):
             acc = 0
             for c in _rev:
                 acc = add(mul(acc, x), c)
             return acc
 
-        return eval_dense_ext
+        return eval_dense
     if isinstance(f, SparsePoly):
         terms = reduce_exponents(f).terms
         add, mul, powf = field.add, field.mul, field.pow
@@ -366,9 +357,11 @@ BLOCK = 4096
 
 
 def block_values(f):
-    """f's values at all p points of a prime field F_p, one list per block.
+    """f's values at all q points of its field, one list per block.
 
     Every point contributes one value to one list, in no fixed order.
+    Over an extension field the compiled evaluator is mapped over each
+    block of points.  Over F_p each representation has a list kernel.
     Dense: Horner's rule over a block of points.  Sparse: x = g^j walks
     F_p^* for a primitive root g, term c*x^e reads
     exp[(log c + e*j) mod (p-1)], and x = 0 takes the constant term.
@@ -378,7 +371,10 @@ def block_values(f):
     """
     field = f.field
     if field.m != 1:
-        raise ValueError("block evaluation needs a prime field")
+        ev, q = evaluator(f), field.q
+        for lo in range(0, q, BLOCK):
+            yield list(map(ev, range(lo, min(lo + BLOCK, q))))
+        return
     p = field.p
     if isinstance(f, DensePoly):
         top, *rest = f.coeffs[::-1] or (0,)

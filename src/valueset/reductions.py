@@ -285,8 +285,8 @@ def count_ssp_via_valueset(inst: SubsetSumInstance, workers: int = 1,
     f(x) depends on x only through its alpha pattern, so the preimage
     histogram sums the class sizes of the cached pattern table that
     decide_ssp_via_root reads: value_by_pattern[pat] gains counts[pat].
-    No point is evaluated.  workers is accepted, as callers pass it, and
-    unused.
+    No point is evaluated.  workers is accepted, as the benchmark passes
+    it, and unused.
     """
     if inst.b > inst.total():
         return CountResult(inst, 0, None)
@@ -667,14 +667,17 @@ class CircuitImageReport:
 
 
 def gamma_image_check(cnf: Cnf3, workers: int = 1):
-    """|V_gamma|, the circuit image, and 2^(n+m) - 2^(m-1) M must coincide."""
+    """|V_gamma|, the circuit image, and 2^(n+m) - 2^(m-1) M must coincide.
+
+    workers is accepted, as the benchmark passes it, and unused.
+    """
     circuit = build_circuit(cnf)
     construction = build_gamma(circuit)
     M = sat_count(cnf)
     image = circuit_image_count(circuit)
     expected = 2 ** (cnf.n + cnf.m) - 2 ** (cnf.m - 1) * M
     reduced = polyrep.reduce_exponents(construction.gamma)
-    report, _ = counting.count_direct(reduced, workers=workers)
+    report, _ = counting.count_direct(reduced)
     result = CircuitImageReport(
         n=cnf.n, m=cnf.m, sat_assignments=M, circuit_image=image,
         gamma_valueset=report.cardinality, expected_image=expected)

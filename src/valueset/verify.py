@@ -2,9 +2,7 @@
 
 Each suite exercises one family of invariants and reports per-property
 pass/fail with case counts.  All randomness is drawn from generators seeded
-by the caller, and enumeration work is delegated to the worker-partitioned
-operations, so a run's output depends only on (suite, seed), never on the
-worker count.
+by the caller, so a run's output depends only on (suite, seed).
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def _random_cnf(rng: random.Random, n: int, m: int) -> reductions.Cnf3:
 # ---------------------------------------------------------------------------
 
 
-def suite_identities(seed: int = 0, workers: int = 1) -> list[CheckResult]:
+def suite_identities(seed: int = 0) -> list[CheckResult]:
     results = []
 
     failures = []
@@ -105,7 +103,7 @@ def suite_identities(seed: int = 0, workers: int = 1) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
+def suite_methods(seed: int = 0) -> list[CheckResult]:
     results = []
     rng = random.Random(f"{seed}:methods")
     fields = [make_field(p, m) for p, m in AGREEMENT_FIELDS]
@@ -116,9 +114,9 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         field = fields[i % len(fields)]
         d = rng.randrange(1, 7)
         f = _random_poly(rng, field, d)
-        direct = counting.count_direct(f, workers=workers)[0]
-        codomain = counting.count_codomain(f, workers=workers)
-        symmetric = counting.count_symmetric(f, workers=workers)
+        direct = counting.count_direct(f)[0]
+        codomain = counting.count_codomain(f)
+        symmetric = counting.count_symmetric(f)
         reports.extend((direct, codomain, symmetric))
         if not direct.cardinality == codomain.cardinality == symmetric.cardinality:
             failures.append((field.q, f.coeffs))
@@ -132,10 +130,10 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
             for _ in range(20):
                 f = _random_poly(rng, field, rng.randrange(1, 5))
                 cases += 1
-                hist = counting.count_direct(f, workers=workers)[1]
+                hist = counting.count_direct(f)[1]
                 from_hist = sum(c ** k for c in hist.entries.values())
                 brute = counting.nk_brute(f, k=k)
-                surf = counting.count_hypersurface_points(f, k=k, workers=workers)
+                surf = counting.count_hypersurface_points(f, k=k)
                 from_surf = counting.nk_from_hypersurface(surf)
                 if not from_hist == brute == from_surf:
                     failures.append((q, k, f.coeffs))
@@ -148,9 +146,8 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         for _ in range(20):
             f = _random_poly(rng, field, rng.randrange(1, 4))
             cases += 1
-            sym = counting.count_symmetric(f, nk_source="hypersurface",
-                                           workers=workers)
-            direct = counting.count_direct(f, workers=workers)[0]
+            sym = counting.count_symmetric(f, nk_source="hypersurface")
+            direct = counting.count_direct(f)[0]
             reports.extend((sym, direct))
             if sym.cardinality != direct.cardinality:
                 failures.append((q, f.coeffs))
@@ -163,7 +160,7 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         for _ in range(5):
             f = _random_poly(rng, field, rng.randrange(1, 4))
             cases += 1
-            fast = counting.count_hypersurface_points(f, k=k, workers=workers)
+            fast = counting.count_hypersurface_points(f, k=k)
             slow = counting.count_hypersurface_points(f, k=k, literal=True)
             if fast != slow:
                 failures.append((q, k, f.coeffs))
@@ -197,7 +194,7 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
             cases += 1
             f = SparsePoly(field, ((1, k),))
             want = math.gcd(k, field.q - 1) == 1
-            got = counting.count_direct(f, workers=workers)[0].cardinality == field.q
+            got = counting.count_direct(f)[0].cardinality == field.q
             if got != want:
                 failures.append((field.q, k))
     results.append(_result("monomial_permutation_law_q<=64", failures, cases))
@@ -205,7 +202,7 @@ def suite_methods(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     failures = []
     cases = 0
     for p in WEIL_PRIMES:
-        cov = charsum.coverage(p, 2, workers=workers)
+        cov = charsum.coverage(p, 2)
         if sum(cov.counts) != p:
             failures.append(("sum", p))
         if not cov.onto:
@@ -250,7 +247,7 @@ def _counting_grid():
             yield a
 
 
-def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
+def suite_reductions(seed: int = 0) -> list[CheckResult]:
     results = []
     rng = random.Random(f"{seed}:reductions")
 
@@ -278,7 +275,7 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
         for b in range(total + 2):  # b = total+1 exercises the b > sum short-circuit
             inst = reductions.SubsetSumInstance(a, b)
             cases += 1
-            res = reductions.count_ssp_via_valueset(inst, workers=workers)
+            res = reductions.count_ssp_via_valueset(inst)
             want = reductions.brute_subset_count(inst)
             if res.count != want:
                 failures.append((a, b))
@@ -321,7 +318,7 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
     ]
     cases = 0
     for cnf in gamma_fixtures:
-        report, construction = reductions.gamma_image_check(cnf, workers=workers)
+        report, construction = reductions.gamma_image_check(cnf)
         circuit = construction.circuit
         ev = polyrep.evaluator(polyrep.reduce_exponents(construction.gamma))
         for u in range(construction.field.q):
@@ -353,7 +350,7 @@ def suite_reductions(seed: int = 0, workers: int = 1) -> list[CheckResult]:
             continue
         construction = reductions.build_gamma(reductions.build_circuit(cnf))
         reduced = polyrep.reduce_exponents(construction.gamma)
-        if not counting.is_permutation(reduced, workers=workers):
+        if not counting.is_permutation(reduced):
             failures.append(("not a permutation", cnf.clauses))
     results.append(_result("unsat_formulas_give_permutations", failures, cases))
 
@@ -375,7 +372,7 @@ def _masks_by_sum(a) -> dict[int, set[int]]:
     return by_sum
 
 
-def run_suites(names, seed: int = 0, workers: int = 1) -> list[CheckResult]:
+def run_suites(names, seed: int = 0) -> list[CheckResult]:
     table = {
         "identities": suite_identities,
         "methods": suite_methods,
@@ -387,5 +384,5 @@ def run_suites(names, seed: int = 0, workers: int = 1) -> list[CheckResult]:
     for name in names:
         if name not in table:
             raise ValueError(f"unknown suite {name!r}")
-        results.extend(table[name](seed=seed, workers=workers))
+        results.extend(table[name](seed=seed))
     return results

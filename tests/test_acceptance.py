@@ -24,7 +24,7 @@ VERIFY_ALL_SHA256 = "026beed7f928e3c3b357b2fbfbd8456df63926dc9221b0b550854ee03e6
 @pytest.fixture(scope="module")
 def checks():
     start = time.perf_counter()
-    results = {r.name: r for r in verify.run_suites("all", seed=SEED, workers=1)}
+    results = {r.name: r for r in verify.run_suites("all", seed=SEED)}
     print(f"\n[acceptance] verification suites completed in "
           f"{time.perf_counter() - start:.1f}s")
     return results

@@ -6,9 +6,14 @@ rename here would otherwise show only when the benchmark runs.
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import valueset
 from valueset import charsum, cli, counting, ffield, parallel, polyrep, reductions
 
 BOUND = {
@@ -108,3 +113,13 @@ def test_reduction_entry_points_take_workers(fn):
 
 def test_map_chunks_signature():
     assert list(inspect.signature(parallel.map_chunks).parameters)[:3] == ["fn", "n", "workers"]
+
+
+def test_package_does_not_import_parallel():
+    # parallel is kept for the benchmark alone: every counter runs one loop
+    src = str(Path(valueset.__file__).resolve().parent.parent)
+    code = ("import sys, valueset, valueset.cli, valueset.verify; "
+            "sys.exit('valueset.parallel' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0

@@ -84,19 +84,23 @@ def test_coverage_counts_partition_field():
             assert sum(coverage(p, t).counts) == p
 
 
+def window_pattern(p, t, x):
+    return sum(b << i for i, b in enumerate(pattern_map(p, t, x)))
+
+
 def test_coverage_first_occurrences():
-    cov = coverage(67, 2)
-    table = alpha_table(67)
-    ext = table + table[:1]
-    for pat in range(4):
-        matches = [x for x in range(67)
-                   if ext[x] | (ext[x + 1] << 1) == pat]
-        assert cov.first_x[pat] == (matches[0] if matches else None)
-        assert cov.counts[pat] == len(matches)
-
-
-def test_coverage_worker_determinism():
-    assert coverage(1031, 3, workers=1) == coverage(1031, 3, workers=4)
+    # (3, 5), (5, 7) and (3, 20) have t - 1 > p: windows wrap F_p more than once
+    for p, t in [(67, 2), (1031, 3), (3, 5), (5, 7), (3, 20)]:
+        cov = coverage(p, t)
+        counts = [0] * (1 << t)
+        first = [None] * (1 << t)
+        for x in range(p):
+            pat = window_pattern(p, t, x)
+            counts[pat] += 1
+            if first[pat] is None:
+                first[pat] = x
+        assert cov.counts == tuple(counts), (p, t)
+        assert cov.first_x == tuple(first), (p, t)
 
 
 def test_coverage_validation():
@@ -133,11 +137,11 @@ def test_onto_guarantee_when_p_above_cube(p, t):
 
 
 def test_pattern_index_table_matches_pattern_map():
-    for p, t in [(11, 1), (67, 2), (521, 3), (131, 4)]:
+    for p, t in [(11, 1), (67, 2), (521, 3), (131, 4), (3, 5), (5, 7)]:
         table = pattern_index_table(p, t)
+        assert len(table) == p
         for x in (0, 1, p // 3, p - 2, p - 1):
-            want = sum(b << i for i, b in enumerate(pattern_map(p, t, x)))
-            assert table[x] == want
+            assert table[x] == window_pattern(p, t, x)
 
 
 def test_pattern_table_is_cached_coverage():

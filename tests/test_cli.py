@@ -68,6 +68,9 @@ def test_char_coverage_and_onto(capsys):
     assert payload["onto"] is True and sum(payload["counts"]) == 67
     code, out, _ = run_cli(capsys, "char", "onto", "--p", "5", "--t", "1")
     assert code == 0 and json.loads(out) == {"p": 5, "t": 1, "onto": True}
+    # windows longer than p + 1 wrap F_p more than once
+    code, out, _ = run_cli(capsys, "char", "--p", "3", "--t", "5")
+    assert code == 0 and sum(json.loads(out)["counts"]) == 3
 
 
 def test_char_rejects_composite(capsys):

@@ -108,24 +108,30 @@ def block_route_cases(field, rng):
                       ("sub", 4, 2), ("mul", 5, 1)), 6)
 
 
-# F_2 has p - 1 = 1; F_4099 and F_8191 span two blocks (polyrep.BLOCK is
-# 4096), the last one partial.
-@pytest.mark.parametrize("p", [2, 3, 5, 13, 4099, 8191])
-def test_block_route_matches_pointwise_evaluator(p, monkeypatch):
-    field = make_field(p)
-    rng = random.Random(p)
-    polys = list(block_route_cases(field, rng))
-    if p <= 13:  # degree >= p, and up to 3p, where that costs little
+# F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9 and
+# F_257^2 (above the table cap) end in a partial block, F_2^13 fills two.
+BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
+                (2, 2), (3, 2), (2, 13), (3, 9), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", BLOCK_FIELDS, ids=[str(p ** m) for p, m in BLOCK_FIELDS])
+def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
+    field = make_field(p, m)
+    q = field.q
+    rng = random.Random(q)
+    if m == 1:
+        polys = list(block_route_cases(field, rng))
+    else:  # zero, a constant, and degree q + 1 (folding to x^2) with a constant term
+        polys = [DensePoly(field, ()), DensePoly(field, (rng.randrange(1, q),)),
+                 SparsePoly(field, ((rng.randrange(1, q), 0), (rng.randrange(1, q), q + 1)))]
+    if q <= 13:  # degree >= q, and up to 3q, where that costs little
         polys += sample_polys(field, rng)
-    want = []
-    for f in polys:
-        ev = polyrep.evaluator(f)
-        want.append(Counter(ev(x) for x in range(p)))
+    want = [Counter(map(polyrep.evaluator(f), range(q))) for f in polys]
+    if m == 1:
+        def no_pointwise(f):
+            raise AssertionError("a prime-field count called the pointwise evaluator")
 
-    def no_pointwise(f):
-        raise AssertionError("a prime-field count called the pointwise evaluator")
-
-    monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
+        monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
     for f, hist in zip(polys, want):
         assert count_direct(f)[1].entries == hist, f
 
@@ -390,18 +396,6 @@ def test_trivial_bounds_hold():
             assert -(-field.q // f.degree) <= report.cardinality <= field.q
 
 
-def test_workers_do_not_change_results():
-    f = DensePoly(F9, (1, 2, 3))
-    r1, h1 = count_direct(f, workers=1)
-    r4, h4 = count_direct(f, workers=4)
-    assert (r1.cardinality, h1.entries) == (r4.cardinality, h4.entries)
-    assert count_codomain(f, workers=1).cardinality == \
-        count_codomain(f, workers=4).cardinality
-    s1 = count_symmetric(f, nk_source="hypersurface", workers=1)
-    s4 = count_symmetric(f, nk_source="hypersurface", workers=4)
-    assert s1.cardinality == s4.cardinality and s1.nk == s4.nk
-
-
 def test_count_value_set_dispatch():
     f = DensePoly(F5, (0, 0, 1))
     for method in ("direct", "codomain", "symmetric"):
@@ -437,8 +431,8 @@ def test_map_chunks_runs_fixed_chunks_in_order_in_caller_thread():
     assert {c[2] for c in calls} == {threading.get_ident()}
 
 
-def test_workers_share_one_table_build(monkeypatch):
-    # the chunks of one count reuse the field's log/exp tables
+def test_count_direct_builds_one_table(monkeypatch):
+    # one count over a table field builds the field's log/exp tables once
     builds = []
     build = Field._build_logexp
 
@@ -449,10 +443,9 @@ def test_workers_share_one_table_build(monkeypatch):
     monkeypatch.setattr(Field, "_build_logexp", counted)
     field = make_field(2, 14)
     f = DensePoly(field, (0, field.gen, 0, 1))
-    _, split = count_direct(f, workers=2)
+    _, hist = count_direct(f)
     assert builds == [field.q]
-    _, whole = count_direct(f, workers=1)
-    assert split.entries == whole.entries
+    assert hist.entries == Counter(map(polyrep.evaluator(f), range(field.q)))
 
 
 # Prime fields, odd p with m > 1 and p = 2, all with q <= 49.

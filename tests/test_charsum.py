@@ -1,8 +1,11 @@
 """Quadratic character, the alpha gadget, and pattern coverage."""
 
+import json
+
 import pytest
 from oracles import pattern_map
 
+from valueset import cli
 from valueset.charsum import (
     alpha_poly,
     alpha_table,
@@ -102,6 +105,17 @@ def test_coverage_first_occurrences():
         assert cov.counts == tuple(counts), (p, t)
         assert cov.first_x == tuple(first), (p, t)
 
+
+
+def test_coverage_worker_determinism(capsys):
+    # --workers is still accepted by `char`; it must not change the coverage
+    outs = []
+    for workers in ("1", "4"):
+        assert cli.main(["char", "--p", "1031", "--t", "3",
+                         "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == coverage(1031, 3).to_json_dict()
 
 def test_coverage_validation():
     with pytest.raises(NotPrimeError):

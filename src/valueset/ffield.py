@@ -565,9 +565,11 @@ class Field:
     once, at construction, for the field's shape: % p in a prime field;
     log/exp tables for extension fields with q <= _TABLE_CAP, XOR sums for
     p = 2 and Zech logarithms for odd p, the tables built on the first
-    product (sums taken before that run digit by digit and build nothing);
-    above the cap a packed-integer product reduced by precomputed rows and
-    digit-wise sums.
+    product from a table of a -> a*g (_build_logexp; sums taken before
+    that run digit by digit and build nothing); above the cap a
+    packed-integer product reduced by precomputed rows and digit-wise
+    sums.  Direct counts above the cap mostly bypass these ops:
+    polyrep.block_values runs odd p on lists of digits.
     """
 
     p: int
@@ -618,44 +620,59 @@ class Field:
         """Tables (log, exp, zech) for the generator g, the first element of
         order q - 1 in trial order 2, 3, ...: exp[i] = g^i for 0 <= i < 2q - 3,
         log[g^i] = i, and for odd p the Zech logarithms zech[n] = log(1 + g^n),
-        -1 where 1 + g^n = 0 (None for p = 2, where addition is XOR)."""
-        p, q, n = self.p, self.q, self.q - 1
+        -1 where 1 + g^n = 0 (None for p = 2, where addition is XOR).
+
+        a -> a*g is F_p-linear, so it is tabulated for every a at once: the
+        table over the first i digits extends to i + 1 by adding d * x^i g
+        for d < p.  For p = 2 an index is its own digit vector and the sum
+        is XOR.  For odd p the sums run on packed digits, one slot of b bits
+        per digit with a guard bit on top: adding 2^(b-1) - p to a slot sets
+        its guard bit iff the digit sum reached p, so one add, shift and
+        mask find the slots to reduce.  Two tables over half the slots turn
+        packed digits back into an index.  exp is then the walk a -> a*g.
+        """
+        p, m, q, n = self.p, self.m, self.q, self.q - 1
         fp = Field(p, 1, None)
+        modulus = list(self.modulus)
         # Candidates below p are F_p constants, of order dividing p - 1 < q - 1.
         g = _primitive_element(n, range(p, q), lambda g, e: _dense_powmod(
-            fp, self.coeffs(g), e, self.modulus) == [1])
-        add = xor if p == 2 else partial(_add_digits, p, 1)
+            fp, self.coeffs(g), e, modulus) == [1])
+        basis = [_dense_mod(fp, [0] * i + list(self.coeffs(g)), modulus)
+                 for i in range(m)]  # x^i * g
+        if p == 2:
+            times_g = [0]
+            for row in basis:
+                r = self.from_coeffs(row)
+                times_g += [a ^ r for a in times_g]
+        else:
+            b = (p - 1).bit_length() + 1
 
-        def scale(c, a):
-            return self.from_coeffs(c * d for d in self.coeffs(a))
+            def pack(digits):
+                return sum(d << b * i for i, d in enumerate(digits))
 
-        # Multiply by x: shift the digits up; the top digit t folds back as
-        # t * x^m = -t * (modulus without its lead).
-        top = q // p
-        fold = [scale(-t, self.from_coeffs(self.modulus[:-1])) for t in range(p)]
-
-        def times_x(a):
-            t, low = divmod(a, top)
-            return add(low * p, fold[t]) if t else low * p
-
-        digits = []  # g's digits, most significant first
-        while g:
-            g, d = divmod(g, p)
-            digits.insert(0, d)
-        lead, *rest = digits
-
+            ones = pack([1] * m)
+            bias = ((1 << b - 1) - p) * ones
+            times_g = [0]
+            for row in basis:
+                level = list(times_g)
+                for d in range(1, p):
+                    add = pack(d * c % p for c in row).__add__
+                    level += [s - ((s + bias) >> b - 1 & ones) * p
+                              for s in map(add, times_g)]
+                times_g = level
+            half = m // 2
+            low, high = ([0] * (1 << b * k) for k in (half, m - half))
+            for table, k, scale in ((low, half, 1), (high, m - half, p ** half)):
+                for a in range(p ** k):
+                    table[pack(self.coeffs(a)[:k])] = a * scale
+            shift, mask = b * half, (1 << b * half) - 1
+            times_g = [low[s & mask] + high[s >> shift] for s in times_g]
         exp = [1] * (2 * q - 3)
         log = [0] * q
-        ints = list(range(q))  # one int object per value, shared by log and exp
         a = 1
         for i in range(1, n):
-            r = a if lead == 1 else scale(lead, a)  # a * g by Horner's rule
-            for d in rest:
-                r = times_x(r)
-                if d:
-                    r = add(r, a if d == 1 else scale(d, a))
-            a = exp[i] = ints[r]
-            log[a] = ints[i]
+            a = exp[i] = times_g[a]
+            log[a] = i
         exp[n:] = exp[:n - 1]
         if p == 2:
             return log, exp, None

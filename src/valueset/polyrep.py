@@ -15,6 +15,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice, repeat
 
 from .errors import (
     DegreeCapExceededError,
@@ -22,6 +23,7 @@ from .errors import (
     ParseError,
 )
 from .ffield import (
+    _TABLE_CAP,
     Field,
     _dense_add,
     _dense_gcd,
@@ -30,6 +32,7 @@ from .ffield import (
     _dense_pow,
     _dense_powmod,
     _dense_sub,
+    _reduction_rows,
     make_field,
     prime_logexp,
 )
@@ -356,21 +359,180 @@ def evaluator(f):
 BLOCK = 4096
 
 
+def _digit_lists_win(p: int, m: int) -> bool:
+    """Whether block_values takes the digit-list ring above _TABLE_CAP.
+
+    A ring product costs about 2m^2 list operations per point; a pointwise
+    product unpacks, multiplies and repacks m digits, and for p = 2 its
+    sums are XOR.  Timed per point against the pointwise map on the first
+    blocks of x*x + 1, a degree-4 dense polynomial and one shift triple
+    (BENCH_14.json "crossover", identical values): the ring is 2.1-5.9x
+    faster on F_257^2, F_67^3, F_17^4 and F_7^6, 1.1-2.3x on F_5^7 and
+    F_7^9, 1.0-1.3x on F_5^10 and F_5^11, level on F_3^11 (0.9-1.2x),
+    F_3^12 (0.9-1.1x) and F_3^13 (0.8-1.0x), and 0.5x on F_2^17 but for
+    its shift input (1.2x).
+    """
+    return p > 2 and m < 12
+
+
+def _digit_ring(field: Field):
+    """add, sub, mul and lift over blocks of F_(p^m) elements held as m
+    lists, digit i of every point in list i (a little-endian coefficient
+    vector over F_p whose entries are lists).
+
+    A product is m^2 list products gathered into the coefficients of
+    x^0..x^(2m-2); those of x^m..x^(2m-2) fold back through the rows
+    x^k mod modulus (ffield._reduction_rows), then every digit is reduced
+    mod p.  Sums and differences are digit-wise and left unreduced, so a
+    digit may be any int until the next product or the final mod p.  lift
+    turns an element into m constant lists of BLOCK entries; map stops at
+    the shortest list, so they serve a partial block too.
+    """
+    p, m = field.p, field.m
+    rows = _reduction_rows(p, field.modulus, m - 1)  # x^m .. x^(2m-2)
+    pairs = [[(i, k - i) for i in range(max(0, k - m + 1), min(k, m - 1) + 1)]
+             for k in range(2 * m - 1)]
+    folds = [[(k, row[i]) for k, row in enumerate(rows, m) if row[i]] for i in range(m)]
+    mods = repeat(p)
+
+    def coefficient(u, v, k):  # of x^k in u * v, unreduced, as a lazy map
+        (i, j), *rest = pairs[k]
+        c = map(operator.mul, u[i], v[j])
+        for i, j in rest:
+            c = map(operator.add, c, map(operator.mul, u[i], v[j]))
+        return c
+
+    def mul(u, v):
+        high = [list(coefficient(u, v, k)) for k in range(m, 2 * m - 1)]
+        out = []
+        for i, fold in enumerate(folds):
+            c = coefficient(u, v, i)
+            for k, r in fold:
+                c = map(operator.add, c, map(operator.mul, high[k - m], repeat(r)))
+            out.append(list(map(operator.mod, c, mods)))
+        return out
+
+    def add(u, v):
+        return [list(map(operator.add, a, b)) for a, b in zip(u, v)]
+
+    def sub(u, v):
+        return [list(map(operator.sub, a, b)) for a, b in zip(u, v)]
+
+    def lift(c):
+        return [[d] * BLOCK for d in field.coeffs(c)]
+
+    return add, sub, mul, lift
+
+
+def _ring_pow(mul, u, e):
+    """u^e (e >= 1) by square-and-multiply over a ring's mul."""
+    out = None
+    while True:
+        if e & 1:
+            out = u if out is None else mul(out, u)
+        e >>= 1
+        if not e:
+            return out
+        u = mul(u, u)
+
+
+def _digit_blocks(f):
+    """block_values over the digit-list ring (_digit_ring), one block of
+    points in increasing index order at a time.  Dense: Horner's rule.
+    Sparse: exponents folded through x^q = x, each term its coefficient
+    times the squares x^(2^k) that its exponent's bits pick.  Shift: e
+    folded the same way (e = 0 triples go into the constant), (x + b)^e
+    by square-and-multiply.  Slp: the registers are digit lists.
+    Coefficients are lifted block by block, so a long input holds one
+    block's lists at a time."""
+    field = f.field
+    p, m, q = field.p, field.m, field.q
+    add, sub, mul, lift = _digit_ring(field)
+    if isinstance(f, DensePoly):
+        lead, *rest = f.coeffs[::-1] or (0,)
+
+        def run(x):
+            acc = lift(lead)
+            for c in rest:
+                acc = add(mul(acc, x), lift(c))
+            return acc
+    elif isinstance(f, SparsePoly):
+        terms = reduce_exponents(f).terms
+        depth = max((e.bit_length() for _, e in terms), default=0)
+
+        def run(x):
+            squares = [x]  # x^(2^k), shared by every term
+            while len(squares) < depth:
+                squares.append(mul(squares[-1], squares[-1]))
+            acc = lift(0)
+            for c, e in terms:
+                term = lift(c)
+                for k in range(e.bit_length()):
+                    if e >> k & 1:
+                        term = mul(term, squares[k])
+                acc = add(acc, term)
+            return acc
+    elif isinstance(f, SparseShiftPoly):
+        const = f.constant
+        triples = []
+        for a, b, e in f.triples:
+            if e:
+                triples.append((a, b, 1 + (e - 1) % (q - 1)))
+            else:  # a*(x+b)^0 = a everywhere, 0^0 = 1 included
+                const = field.add(const, a)
+
+        def run(x):
+            acc = lift(const)
+            for a, b, e in triples:
+                acc = add(acc, mul(lift(a), _ring_pow(mul, add(x, lift(b)), e)))
+            return acc
+    elif isinstance(f, Slp):
+        run = _compile_slp(f, add, sub, mul, lift)
+    else:
+        raise TypeError(f"not a polynomial representation: {type(f).__name__}")
+    # Blocks start at multiples of size = c * p^j (p^j <= BLOCK < p^(j+1)
+    # or j = m - 1), so digits 0..j-1 of a block's points are those of
+    # 0..size-1, computed once, and each higher digit is constant over
+    # runs of p^j points.
+    powers = [p ** i for i in range(m)]
+    j = max(i for i, s in enumerate(powers) if s <= BLOCK)
+    span = powers[j]
+    size = BLOCK // span * span
+    low_digits = [[x // s % p for x in range(size)] for s in powers[:j]]
+    ps, spans = repeat(p), repeat(span)
+    for lo in range(0, q, size):
+        n = min(size, q - lo)
+        runs = range(lo, lo + n, span)
+        *low, high = run([d[:n] for d in low_digits] + [
+            list(chain.from_iterable(map(repeat, [x // s % p for x in runs], spans)))
+            for s in powers[j:]])
+        values = map(operator.mod, high, ps)  # index = digits read top first
+        for digit in reversed(low):
+            values = map(operator.add, map(operator.mul, values, ps),
+                         map(operator.mod, digit, ps))
+        yield list(islice(values, n))
+
+
 def block_values(f):
     """f's values at all q points of its field, one list per block.
 
     Every point contributes one value to one list, in no fixed order.
-    Over an extension field the compiled evaluator is mapped over each
-    block of points.  Over F_p each representation has a list kernel.
-    Dense: Horner's rule over a block of points.  Sparse: x = g^j walks
-    F_p^* for a primitive root g, term c*x^e reads
-    exp[(log c + e*j) mod (p-1)], and x = 0 takes the constant term.
-    Shift: the map y -> a*y^e is tabulated once per triple through the
-    log table and rotated by b.  Slp: the program's registers are lists.
-    The log/exp tables are built per call, for sparse and shift inputs only.
+    Over F_p each representation has a list kernel.  Dense: Horner's rule
+    over a block of points.  Sparse: x = g^j walks F_p^* for a primitive
+    root g, term c*x^e reads exp[(log c + e*j) mod (p-1)], and x = 0
+    takes the constant term.  Shift: the map y -> a*y^e is tabulated once
+    per triple through the log table and rotated by b.  Slp: the
+    program's registers are lists.  The log/exp tables are built per
+    call, for sparse and shift inputs only.  Above _TABLE_CAP, where
+    _digit_lists_win says so, every representation runs over the
+    digit-list ring (_digit_blocks).  Other extension fields, table
+    fields among them, map the compiled evaluator over each block.
     """
     field = f.field
     if field.m != 1:
+        if field.q > _TABLE_CAP and _digit_lists_win(field.p, field.m):
+            yield from _digit_blocks(f)
+            return
         ev, q = evaluator(f), field.q
         for lo in range(0, q, BLOCK):
             yield list(map(ev, range(lo, min(lo + BLOCK, q))))

@@ -1,10 +1,12 @@
 """The three counting algorithms, N_k sources, and the proof identities."""
 
+import dataclasses
 import math
 import random
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from oracles import has_root_reference, newton_reciprocal
@@ -33,7 +35,7 @@ from valueset.errors import (
     ZeroPolynomialError,
 )
 from valueset.ffield import Field, _dense_monic, _dense_powmod, _packed_xq, make_field
-from valueset import polyrep
+from valueset import ffield, polyrep
 from valueset.parallel import map_chunks
 from valueset.polyrep import DensePoly, Slp, SparsePoly, SparseShiftPoly
 
@@ -108,10 +110,50 @@ def block_route_cases(field, rng):
                       ("sub", 4, 2), ("mul", 5, 1)), 6)
 
 
-# F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9 and
-# F_257^2 (above the table cap) end in a partial block, F_2^13 fills two.
+def digit_route_cases(field, rng, costly):
+    """Zero and an F_q constant outside F_p; degree >= q; shift triples
+    with e = 0 or b = 0; a program using gen, const and sub.  With costly
+    (about a second more on a field above the cap) also a degree-2 dense
+    polynomial, sparse exponents that are multiples of q - 1 (they fold to
+    q - 1, about twenty ring products a block) and a shift pair that
+    cancels, a(x+b)^e + (-a)(x+b)^e.  Every case that depends on x is
+    quadratic: a wrong product that is still bilinear leaves the histogram
+    of a map linear over F_p unchanged."""
+    p, q = field.p, field.q
+
+    def r(lo=0):
+        return rng.randrange(lo, q)
+
+    c = rng.randrange(p, q)
+    yield DensePoly(field, ())
+    yield DensePoly(field, (c,))
+    folded = ((r(1), q - 1), (r(1), 3 * (q - 1))) if costly else ()
+    yield SparsePoly(field, ((c, 0), (r(1), q + 1)) + folded)  # x^(q+1) = x^2
+    a, b = r(1), r()
+    cancelling = ((a, b, q), (field.sub(0, a), b, q)) if costly else ()
+    yield SparseShiftPoly(field, ((r(1), r(), 0), (r(1), 0, q + 1)) + cancelling, r())
+    yield Slp(field, (("x",), ("gen",), ("const", rng.randrange(1, p)),
+                      ("mul", 1, 2), ("sub", 4, 3), ("mul", 5, 1)), 6)
+    if costly:
+        yield DensePoly(field, (r(), r(), c))
+
+
+def table_twin(field, monkeypatch):
+    """field with log/exp table arithmetic even above _TABLE_CAP: a
+    pointwise reference about ten times cheaper than packed products, and
+    one that shares no code with the digit-list ring's reduction rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ffield, "_TABLE_CAP", field.q)
+        twin = Field(field.p, field.m, field.modulus)
+    twin.mul(1, 1)  # builds the tables, so that sums take Zech logarithms too
+    return twin
+
+
+# F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9,
+# F_257^2 and F_17^4 end in a partial block, F_2^13 fills two.  F_257^2
+# and F_17^4 lie above the table cap on the digit-list ring.
 BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
-                (2, 2), (3, 2), (2, 13), (3, 9), (257, 2)]
+                (2, 2), (3, 2), (2, 13), (3, 9), (257, 2), (17, 4)]
 
 
 @pytest.mark.parametrize("p,m", BLOCK_FIELDS, ids=[str(p ** m) for p, m in BLOCK_FIELDS])
@@ -119,21 +161,48 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
     field = make_field(p, m)
     q = field.q
     rng = random.Random(q)
+    reference = field
     if m == 1:
         polys = list(block_route_cases(field, rng))
+    elif q > ffield._TABLE_CAP:
+        polys = list(digit_route_cases(field, rng, m == 2))
+        reference = table_twin(field, monkeypatch)
     else:  # zero, a constant, and degree q + 1 (folding to x^2) with a constant term
         polys = [DensePoly(field, ()), DensePoly(field, (rng.randrange(1, q),)),
                  SparsePoly(field, ((rng.randrange(1, q), 0), (rng.randrange(1, q), q + 1)))]
     if q <= 13:  # degree >= q, and up to 3q, where that costs little
         polys += sample_polys(field, rng)
-    want = [Counter(map(polyrep.evaluator(f), range(q))) for f in polys]
-    if m == 1:
+    want = [Counter(map(polyrep.evaluator(dataclasses.replace(f, field=reference)), range(q)))
+            for f in polys]
+    if m == 1 or q > ffield._TABLE_CAP:
         def no_pointwise(f):
-            raise AssertionError("a prime-field count called the pointwise evaluator")
+            raise AssertionError("a list-kernel count called the pointwise evaluator")
 
         monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
     for f, hist in zip(polys, want):
         assert count_direct(f)[1].entries == hist, f
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 3)])
+def test_digit_ring_matches_pointwise_on_small_fields(p, m):
+    # the digit-list ring called directly, below the cap, where a full
+    # pointwise reference is cheap for degree >= q and strict programs too
+    field = make_field(p, m)
+    rng = random.Random(f"ring:{p}:{m}")
+    for f in [*sample_polys(field, rng), *digit_route_cases(field, rng, True)]:
+        want = Counter(map(polyrep.evaluator(f), range(field.q)))
+        assert Counter(chain.from_iterable(polyrep._digit_blocks(f))) == want, f
+
+
+def test_digit_rule_leaves_char_2_pointwise(monkeypatch):
+    # above the cap, p = 2 keeps the pointwise evaluator (see _digit_lists_win)
+    field = make_field(2, 17)
+    f = Slp(field, (("x",),), 1)
+    calls = []
+    evaluator = polyrep.evaluator
+    monkeypatch.setattr(polyrep, "evaluator", lambda g: calls.append(g) or evaluator(g))
+    assert count_direct(f)[1].entries == Counter(range(field.q))
+    assert calls == [f]
 
 
 def test_count_direct_cap():

@@ -249,6 +249,24 @@ def test_logexp_matches_trial_multiplication(p, m):
     assert (zech is None) == (p == 2)
 
 
+def test_logexp_walks_the_generator_of_f_3_10():
+    # q = 59049: too many trial products for logexp_reference.  The
+    # generator is not x, so every digit of g reaches the a -> a*g table.
+    f = make_field(3, 10)
+    log, exp, zech = f._build_logexp()
+    n, g = f.q - 1, exp[1]
+    assert g != f.gen and exp[n:] == exp[:n - 1] and len(exp) == 2 * f.q - 3
+    rng = random.Random(f.q)
+    for i in rng.sample(range(n), 300):
+        assert exp[i + 1] == mul_poly_reference(f, exp[i], g)
+        assert log[exp[i]] == i
+    pairs = [(exp[rng.randrange(n)], exp[rng.randrange(n)]) for _ in range(300)]
+    pairs += [(a, add_reference(f, 0, a, -1)) for a, _ in pairs[:20]]  # a + (-a) = 0
+    for a, b in pairs:
+        z = zech[(log[b] - log[a]) % n]  # a + b = a (1 + b/a)
+        assert (exp[log[a] + z] if z >= 0 else 0) == add_reference(f, a, b)
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3), (3, 6), (31, 2), (5, 6)]
                          + ABOVE_CAP)
 def test_zech_add_sub_match_digit_oracle(p, m):

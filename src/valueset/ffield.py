@@ -16,12 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from operator import xor
 
-from .errors import (
-    NotMonicError,
-    NotPrimeError,
-    OrderTooLargeError,
-    SingularMatrixError,
-)
+from .errors import NotMonicError, NotPrimeError, SingularMatrixError
 
 # Exhaustive operations (enumeration, histograms, coverage) refuse to run
 # above this order.  A configuration constant, not baked into arithmetic.
@@ -160,27 +155,26 @@ def _dense_monic(field: Field, a: list[int]) -> list[int]:
     return [mul(c, inv) for c in a]
 
 
-def _dense_pow(field: Field, base: list[int], e: int) -> list[int]:
-    result = [1]
-    while e > 0:
+def _ring_pow(mul, u, e):
+    """u^e (e >= 1) by square-and-multiply over a ring's mul."""
+    out = None
+    while True:
         if e & 1:
-            result = _dense_mul(field, result, base)
+            out = u if out is None else mul(out, u)
         e >>= 1
-        if e:
-            base = _dense_mul(field, base, base)
-    return result
+        if not e:
+            return out
+        u = mul(u, u)
 
 
 def _dense_powmod(field: Field, base: list[int], e: int, g: list[int]) -> list[int]:
-    result = [1]
-    base = _dense_mod(field, base, g)
-    while e > 0:
-        if e & 1:
-            result = _dense_mod(field, _dense_mul(field, result, base), g)
-        e >>= 1
-        if e:
-            base = _dense_mod(field, _dense_mul(field, base, base), g)
-    return result
+    if not e:
+        return [1]
+
+    def mulmod(a, b):
+        return _dense_mod(field, _dense_mul(field, a, b), g)
+
+    return _ring_pow(mulmod, _dense_mod(field, base, g), e)
 
 
 def _dense_gcd(field: Field, a: list[int], b: list[int]) -> list[int]:
@@ -293,11 +287,12 @@ def _prime_ops(p: int):
 def _table_ops(field: Field):
     """add, sub, mul, inv, pow in F_(p^m), q <= _TABLE_CAP, by log/exp tables.
 
-    The tables are built by the first product (or inverse or power) and
-    kept in the closures' own cells, so an operation bound before the
-    build sees them after it.  Sums before the build run digit by digit.
+    The tables are built by the first product or power, zero operands
+    included, or by the first inverse, and kept in the closures' own cells
+    only, so an operation bound before the build sees them after it.  Sums
+    before the build run digit by digit.
     """
-    p, m, q, modulus, tables = field.p, field.m, field.q, field.modulus, field._tables
+    p, m, q, modulus = field.p, field.m, field.q, field.modulus
     n = q - 1
     half = n // 2  # log(-1) for odd p
     log = exp = zech = None
@@ -311,14 +306,13 @@ def _table_ops(field: Field):
         # Products test exp and sums zech, stored after log, so no caller
         # sees a part-set trio.
         built = Field(p, m, modulus)._build_logexp()
-        log, exp, zech = tables["logexp"] = tuple(
-            None if t is None else array("i", t) for t in built)
+        log, exp, zech = (None if t is None else array("i", t) for t in built)
 
     def mul(a, b):
-        if not a or not b:
-            return 0
         if exp is None:
             load()
+        if not a or not b:
+            return 0
         return exp[log[a] + log[b]]
 
     def inv(a):
@@ -331,12 +325,12 @@ def _table_ops(field: Field):
     def power(a, e):
         if e < 0:
             raise ValueError("negative exponent")
+        if exp is None:
+            load()
         if not e:
             return 1
         if not a:
             return 0
-        if exp is None:
-            load()
         return exp[log[a] * (e % n) % n]
 
     if p == 2:
@@ -424,14 +418,7 @@ def _poly_ops(field: Field):
         if not a:
             return 0
         e %= n
-        out = 1
-        while e:
-            if e & 1:
-                out = mul(out, a)
-            e >>= 1
-            if e:
-                a = mul(a, a)
-        return out
+        return _ring_pow(mul, a, e) if e else 1
 
     def inv(a):
         if not a:
@@ -565,18 +552,18 @@ class Field:
     once, at construction, for the field's shape: % p in a prime field;
     log/exp tables for extension fields with q <= _TABLE_CAP, XOR sums for
     p = 2 and Zech logarithms for odd p, the tables built on the first
-    product from a table of a -> a*g (_build_logexp; sums taken before
-    that run digit by digit and build nothing); above the cap a
-    packed-integer product reduced by precomputed rows and digit-wise
-    sums.  Direct counts above the cap mostly bypass these ops:
-    polyrep.block_values runs odd p on lists of digits.
+    product or power, zero operands included, from a table of a -> a*g
+    (_build_logexp; sums taken before that run digit by digit and build
+    nothing); above the cap a packed-integer product reduced by
+    precomputed rows and digit-wise sums.  Direct counts above the cap
+    mostly bypass these ops: polyrep.block_values runs odd p on lists of
+    digits.
     """
 
     p: int
     m: int
     q: int = dc_field(init=False, compare=False)  # p ** m, set by __post_init__
     modulus: tuple[int, ...] | None  # monic, little-endian, length m+1; None iff m == 1
-    _tables: dict = dc_field(default_factory=dict, repr=False, compare=False)
     # Set by __post_init__: the ops.
     add: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
     sub: Callable[[int, int], int] = dc_field(init=False, repr=False, compare=False)
@@ -683,15 +670,6 @@ class Field:
             if one_plus:
                 zech[k] = log[one_plus]
         return log, exp, zech
-
-    # -- enumeration ---------------------------------------------------------
-
-    def elements(self, start: int = 0, stop: int | None = None):
-        """All elements in increasing canonical-index order (or a sub-range)."""
-        if self.q > ENUMERATION_CAP:
-            raise OrderTooLargeError(
-                f"q = {self.q} exceeds the enumeration cap 2^26")
-        return range(start, self.q if stop is None else stop)
 
     # -- serialization -------------------------------------------------------
 

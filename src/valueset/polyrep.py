@@ -20,19 +20,21 @@ from itertools import chain, islice, repeat
 from .errors import (
     DegreeCapExceededError,
     FieldMismatchError,
+    OrderTooLargeError,
     ParseError,
 )
 from .ffield import (
     _TABLE_CAP,
+    ENUMERATION_CAP,
     Field,
     _dense_add,
     _dense_gcd,
-    _dense_mod,
     _dense_mul,
-    _dense_pow,
     _dense_powmod,
     _dense_sub,
     _reduction_rows,
+    _ring_pow,
+    is_prime,
     make_field,
     prime_logexp,
 )
@@ -424,25 +426,28 @@ def _digit_ring(field: Field):
     return add, sub, mul, lift
 
 
-def _ring_pow(mul, u, e):
-    """u^e (e >= 1) by square-and-multiply over a ring's mul."""
-    out = None
-    while True:
-        if e & 1:
-            out = u if out is None else mul(out, u)
-        e >>= 1
-        if not e:
-            return out
-        u = mul(u, u)
+def _fold_shift(f: SparseShiftPoly) -> tuple[int, list[tuple[int, int, int]]]:
+    """f's constant and its triples with e >= 1, each exponent folded
+    through x^q = x to 1 + (e - 1) mod (q - 1).  A triple with e = 0 is
+    a*(x+b)^0 = a everywhere, 0^0 = 1 included, so it goes into the
+    constant."""
+    field = f.field
+    const, triples = f.constant, []
+    for a, b, e in f.triples:
+        if e:
+            triples.append((a, b, 1 + (e - 1) % (field.q - 1)))
+        else:
+            const = field.add(const, a)
+    return const, triples
 
 
 def _digit_blocks(f):
     """block_values over the digit-list ring (_digit_ring), one block of
     points in increasing index order at a time.  Dense: Horner's rule.
     Sparse: exponents folded through x^q = x, each term its coefficient
-    times the squares x^(2^k) that its exponent's bits pick.  Shift: e
-    folded the same way (e = 0 triples go into the constant), (x + b)^e
-    by square-and-multiply.  Slp: the registers are digit lists.
+    times the squares x^(2^k) that its exponent's bits pick.  Shift:
+    _fold_shift, then (x + b)^e by square-and-multiply.  Slp: the
+    registers are digit lists.
     Coefficients are lifted block by block, so a long input holds one
     block's lists at a time."""
     field = f.field
@@ -473,13 +478,7 @@ def _digit_blocks(f):
                 acc = add(acc, term)
             return acc
     elif isinstance(f, SparseShiftPoly):
-        const = f.constant
-        triples = []
-        for a, b, e in f.triples:
-            if e:
-                triples.append((a, b, 1 + (e - 1) % (q - 1)))
-            else:  # a*(x+b)^0 = a everywhere, 0^0 = 1 included
-                const = field.add(const, a)
+        const, triples = _fold_shift(f)
 
         def run(x):
             acc = lift(const)
@@ -563,13 +562,9 @@ def block_values(f):
     elif isinstance(f, SparseShiftPoly):
         log, exp = prime_logexp(p)
         n = p - 1
-        const = f.constant
+        const, triples = _fold_shift(f)
         shifted = []
-        for a, b, e in f.triples:
-            if not e:  # a*(x+b)^0 = a everywhere, 0^0 = 1 included
-                const += a
-                continue
-            e = 1 + (e - 1) % n
+        for a, b, e in triples:
             k = log[a]
             power = [0] + [exp[(k + e * j) % n] for j in log[1:]]  # y -> a*y^e
             shifted.append(power[b:] + power[:b])  # x -> a*(x+b)^e
@@ -650,16 +645,6 @@ def dense_add(g: DensePoly, h: DensePoly) -> DensePoly:
     return DensePoly(f, tuple(_dense_add(f, list(g.coeffs), list(h.coeffs))))
 
 
-def dense_mul(g: DensePoly, h: DensePoly) -> DensePoly:
-    f = _same_field(g, h)
-    return DensePoly(f, tuple(_dense_mul(f, list(g.coeffs), list(h.coeffs))))
-
-
-def dense_mod(g: DensePoly, h: DensePoly) -> DensePoly:
-    f = _same_field(g, h)
-    return DensePoly(f, tuple(_dense_mod(f, list(g.coeffs), list(h.coeffs))))
-
-
 def dense_powmod(g: DensePoly, e: int, h: DensePoly) -> DensePoly:
     f = _same_field(g, h)
     return DensePoly(f, tuple(_dense_powmod(f, list(g.coeffs), e, list(h.coeffs))))
@@ -696,7 +681,7 @@ def to_dense(f, cap: int) -> DensePoly:
     if isinstance(f, SparseShiftPoly):
         acc = [f.constant] if f.constant else []
         for a, b, e in f.triples:
-            term = _dense_pow(field, [b, 1], e)
+            term = _ring_pow(partial(_dense_mul, field), [b, 1], e) if e else [1]
             term = [field.mul(a, c) for c in term]
             acc = _dense_add(field, acc, term)
         return DensePoly(field, tuple(acc))
@@ -843,8 +828,15 @@ def _parse_header(stream: _TokenStream, kind: str):
 
 
 def _field_from_header(keys) -> Field:
+    """The header's field.  A prime p with p^m above ENUMERATION_CAP is
+    refused before make_field searches for a modulus, since no count can
+    enumerate that field; p^m >= 2^m, so m >= ENUMERATION_CAP.bit_length()
+    is above the cap without computing p^m."""
+    p, m = keys["p"], keys.get("m", 1)
+    if is_prime(p) and (m >= ENUMERATION_CAP.bit_length() or p ** m > ENUMERATION_CAP):
+        raise OrderTooLargeError(f"q = {p}^{m} exceeds the enumeration cap 2^26")
     try:
-        return make_field(keys["p"], keys.get("m", 1), modulus=keys.get("mod"))
+        return make_field(p, m, modulus=keys.get("mod"))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

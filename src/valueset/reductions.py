@@ -195,12 +195,20 @@ def _solution_patterns(inst: SubsetSumInstance, p: int) -> list[int]:
     return [pat for pat, s in enumerate(_subset_sums(inst.a)) if s == target]
 
 
-def _check_gadget_scale(inst: SubsetSumInstance, p: int) -> None:
+def _gadget_prime(inst: SubsetSumInstance, bound: int, policy: str, seed: int) -> int:
+    """find_prime_above(bound), refused when F_p would be above the
+    enumeration cap: before the search when t or bound already say so (the
+    prime exceeds bound), after it when the next prime crosses the cap."""
     if inst.t > MAX_GADGET_WIDTH:
         raise DeskScaleExceededError(
             f"t = {inst.t} needs p > 2^{3 * inst.t}, beyond the enumeration cap")
+    if bound >= ENUMERATION_CAP:
+        raise DeskScaleExceededError(
+            f"p > 2^{bound.bit_length() - 1} exceeds the enumeration cap 2^26")
+    p = find_prime_above(bound, policy, seed)
     if p > ENUMERATION_CAP:
         raise DeskScaleExceededError(f"p = {p} exceeds the enumeration cap 2^26")
+    return p
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,7 @@ def decide_ssp_via_root(inst: SubsetSumInstance,
     """
     if inst.b > inst.total():
         return RootDecision(instance=inst, p=None, answer=False, witness=None)
-    p = find_prime_above(decision_prime_bound(inst), prime_policy, seed)
-    _check_gadget_scale(inst, p)
+    p = _gadget_prime(inst, decision_prime_bound(inst), prime_policy, seed)
     table = charsum.pattern_table(p, inst.t)
     witness = min((table.first_x[pat] for pat in _solution_patterns(inst, p)
                    if table.counts[pat]), default=None)
@@ -293,8 +300,7 @@ def count_ssp_via_valueset(inst: SubsetSumInstance, workers: int = 1,
     if inst.b == 0:
         return CountResult(inst, 1, None)
     start = time.perf_counter()
-    p = find_prime_above(counting_prime_bound(inst), prime_policy, seed)
-    _check_gadget_scale(inst, p)
+    p = _gadget_prime(inst, counting_prime_bound(inst), prime_policy, seed)
     f = CountingPoly(inst, p)
     counts = charsum.pattern_table(p, inst.t).counts
     if sum(counts) != p:
@@ -486,20 +492,6 @@ class Nc05Circuit:
                 out |= 1 << j
         return out
 
-    def apply(self, vec) -> tuple[int, ...]:
-        bits = 0
-        for i, v in enumerate(vec):
-            if v:
-                bits |= 1 << i
-        out = self.eval_bits(bits)
-        return tuple(out >> j & 1 for j in range(self.n + self.m))
-
-
-def identity_circuit(n: int) -> Nc05Circuit:
-    """The clause-free circuit z_i = x_i (m = 0); its map is the identity."""
-    return Nc05Circuit(n=n, m=0,
-                       outputs=tuple(frozenset({1 << i}) for i in range(n)))
-
 
 def build_circuit(cnf: Cnf3) -> Nc05Circuit:
     """z_i = x_i and w_i = y_i + C_i * y_(i mod m + 1) over F_2.
@@ -571,10 +563,6 @@ class GammaConstruction:
     extraction: tuple[SparsePoly, ...]
     gamma: SparsePoly
 
-    def coordinates(self, u: int) -> tuple[int, ...]:
-        """Coordinate vector of u in the power basis (the index bits)."""
-        return tuple(u >> i & 1 for i in range(self.field.m))
-
 
 @lru_cache(maxsize=16)
 def _extraction_system(p: int, m: int):
@@ -590,6 +578,12 @@ def _extraction_system(p: int, m: int):
     return field, basis, tuple(extraction)
 
 
+def _check_gamma_bits(nbits: int) -> None:
+    if nbits > MAX_GAMMA_BITS:
+        raise DeskScaleExceededError(
+            f"n+m = {nbits} exceeds the gamma construction cap {MAX_GAMMA_BITS}")
+
+
 def build_gamma(circuit: Nc05Circuit) -> GammaConstruction:
     """Compile the circuit into a sparse polynomial over F_(2^(n+m)).
 
@@ -598,12 +592,11 @@ def build_gamma(circuit: Nc05Circuit) -> GammaConstruction:
     linearized polynomial L_j (solved so that L_j(w_k) = delta_jk, hence
     F_2-linearity extracts coordinate j everywhere).  Substituting L_j into
     the output ANFs and recombining against the basis gives gamma with
-    coordinates(gamma(u)) = circuit(coordinates(u)) for every u.
+    gamma(u) = circuit.eval_bits(u) for every u, an index's bits being its
+    coordinates in the power basis.
     """
     nbits = circuit.n + circuit.m
-    if nbits > MAX_GAMMA_BITS:
-        raise DeskScaleExceededError(
-            f"n+m = {nbits} exceeds the gamma construction cap {MAX_GAMMA_BITS}")
+    _check_gamma_bits(nbits)
     field, basis, extraction = _extraction_system(2, nbits)
     terms: dict[int, int] = {}
     for j, anf in enumerate(circuit.outputs):
@@ -669,8 +662,10 @@ class CircuitImageReport:
 def gamma_image_check(cnf: Cnf3, workers: int = 1):
     """|V_gamma|, the circuit image, and 2^(n+m) - 2^(m-1) M must coincide.
 
-    workers is accepted, as the benchmark passes it, and unused.
+    workers is accepted, as the benchmark passes it, and unused.  The
+    gamma cap is checked before the circuit is built.
     """
+    _check_gamma_bits(cnf.n + cnf.m)
     circuit = build_circuit(cnf)
     construction = build_gamma(circuit)
     M = sat_count(cnf)

@@ -1,6 +1,8 @@
-"""Seeded polynomial samples over every representation."""
+"""Sample inputs: seeded polynomials over every representation, and the
+identity circuit."""
 
 from valueset.polyrep import DensePoly, SlpBuilder, SparsePoly, SparseShiftPoly
+from valueset.reductions import Nc05Circuit
 
 
 def sample_polys(field, rng):
@@ -31,3 +33,9 @@ def sample_polys(field, rng):
         for top in (q, 3 * q):
             term = builder.mul(builder.power(x, rng.randrange(1, top)), c)
             yield builder.build(builder.add(term, unit_reg))
+
+
+def identity_circuit(n: int) -> Nc05Circuit:
+    """The clause-free circuit z_i = x_i (m = 0); its map is the identity."""
+    return Nc05Circuit(n=n, m=0,
+                       outputs=tuple(frozenset({1 << i}) for i in range(n)))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from samples import sample_polys
@@ -100,6 +101,31 @@ def test_scale_error_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", poly, "--method", "symmetric")
     assert code == 3 and out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("header", ["dense p=2 m=512", "dense p=3 m=200"])
+def test_field_above_cap_exits_before_modulus_search(tmp_path, capsys, header):
+    # no modulus of degree m is searched for: a field whose count could
+    # never run is refused from its header
+    poly = write(tmp_path, "big.poly", header + ": 1 1\n")
+    for command in ("count", "permtest"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, poly)
+        assert code == 3 and out == "" and "cap" in err
+        assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("ssp-decide", "ssp b=1\n1" + "0" * 1500 + "\n"),
+    ("ssp-count", "ssp b=1\n1" + "0" * 1500 + "\n"),
+    ("sat3", "p cnf 60000 1\n1 2 3 0\n"),
+])
+def test_reduce_above_desk_scale_exits_before_work(tmp_path, capsys, kind, text):
+    # no prime above 10^1500 is searched for, and no 60002-output circuit built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "reduce", kind, write(tmp_path, "big.in", text))
+    assert code == 3 and out == "" and "cap" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

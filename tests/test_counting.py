@@ -515,6 +515,17 @@ def test_count_direct_builds_one_table(monkeypatch):
     _, hist = count_direct(f)
     assert builds == [field.q]
     assert hist.entries == Counter(map(polyrep.evaluator(f), range(field.q)))
+    # a constant too: its products are by zero, and they still build, so
+    # no sum runs digit by digit
+    digit_sums = []
+    add_digits = ffield._add_digits
+    monkeypatch.setattr(ffield, "_add_digits",
+                        lambda *args: digit_sums.append(args) or add_digits(*args))
+    builds.clear()
+    field = make_field(3, 9)
+    report, hist = count_direct(DensePoly(field, (5,)))
+    assert (report.cardinality, hist.entries) == (1, {5: field.q})
+    assert builds == [field.q] and digit_sums == []
 
 
 # Prime fields, odd p with m > 1 and p = 2, all with q <= 49.

@@ -11,13 +11,16 @@ from valueset.errors import (
     OrderTooLargeError,
     SingularMatrixError,
 )
+from valueset.counting import count_direct
 from valueset.ffield import (
+    Field,
     is_irreducible,
     is_prime,
     make_field,
     solve_linear,
     split_range,
 )
+from valueset.polyrep import DensePoly
 
 
 def trial_division(n):
@@ -84,6 +87,8 @@ def test_pow_zero_conventions():
         assert f.pow(0, 0) == 1
         assert f.pow(3, 0) == 1
         assert f.pow(0, 12) == 0
+        assert f.pow(3, 2 * (f.q - 1)) == 1  # e mod (q - 1) = 0, a != 0
+        assert f.pow(3, f.q) == 3
         with pytest.raises(ValueError):
             f.pow(3, -1)
         with pytest.raises(ZeroDivisionError):
@@ -91,18 +96,19 @@ def test_pow_zero_conventions():
 
 
 def test_enumerate_small_fields():
-    assert list(make_field(3).elements()) == [0, 1, 2]
+    # canonical indices 0..q-1 run through the coefficient vectors in
+    # little-endian base-p order
+    assert [make_field(3).coeffs(e) for e in range(3)] == [(0,), (1,), (2,)]
     f4 = make_field(2, 2)
-    assert [f4.coeffs(e) for e in f4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [f4.coeffs(e) for e in range(f4.q)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
     f8 = make_field(2, 3)
-    seen = list(f8.elements())
-    assert len(seen) == 8 and len(set(seen)) == 8
+    assert len({f8.coeffs(e) for e in range(f8.q)}) == 8
 
 
 def test_enumeration_cap():
     f = make_field(2, 27)
     with pytest.raises(OrderTooLargeError):
-        f.elements()
+        count_direct(DensePoly(f, (0, 1)))
 
 
 def test_is_prime_examples():
@@ -282,31 +288,58 @@ def test_zech_add_sub_match_digit_oracle(p, m):
         assert f.add(a, f.sub(0, a)) == 0 == f.sub(a, a)
 
 
-def test_add_sub_leave_tables_unbuilt():
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The q of every log/exp table build, through the class attribute that
+    field ops look up at build time."""
+    builds = []
+    build = Field._build_logexp
+
+    def counted(self):
+        builds.append(self.q)
+        return build(self)
+
+    monkeypatch.setattr(Field, "_build_logexp", counted)
+    return builds
+
+
+def test_add_sub_leave_tables_unbuilt(table_builds):
     f = make_field(5, 3)
     rng = random.Random(5)
     for _ in range(50):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
         assert f.add(a, b) == add_reference(f, a, b)
         assert f.sub(a, b) == add_reference(f, a, b, -1)
-    assert f._tables == {}
+    assert table_builds == []
     f.mul(1, 1)
-    assert f._tables
+    assert table_builds == [f.q]
 
 
 @pytest.mark.parametrize("p,m", [(2, 8), (5, 3)])
-def test_ops_bound_before_first_product_see_tables(p, m):
+def test_ops_bound_before_first_product_see_tables(p, m, table_builds):
     # evaluators bind field.add/field.mul once; the tables arrive later
     f = make_field(p, m)
     add, sub, mul = f.add, f.sub, f.mul
-    assert f._tables == {}
+    assert table_builds == []
     rng = random.Random(p)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(100)]
     for a, b in pairs:
         assert mul(a, b) == mul_poly_reference(f, a, b)
         assert add(a, b) == add_reference(f, a, b)
         assert sub(a, b) == add_reference(f, a, b, -1)
-    assert f._tables
+    assert table_builds == [f.q]
+
+
+@pytest.mark.parametrize("op,args", [("mul", (0, 5)), ("mul", (5, 0)), ("pow", (0, 3)),
+                                     ("pow", (5, 0))])
+def test_zero_operand_builds_tables(op, args, table_builds):
+    # a zero product or trivial power still loads the tables, so the sums
+    # after it run on Zech logarithms, not digit by digit
+    f = make_field(3, 4)
+    getattr(f, op)(*args)
+    assert table_builds == [f.q]
+    f.mul(2, 3)
+    assert table_builds == [f.q]
 
 
 def mobius(n):

@@ -10,7 +10,7 @@ from valueset.errors import (
     FieldMismatchError,
     ParseError,
 )
-from valueset.ffield import make_field
+from valueset.ffield import _dense_mod, _dense_mul, make_field
 from valueset.polyrep import (
     DensePoly,
     SlpBuilder,
@@ -20,8 +20,6 @@ from valueset.polyrep import (
     degree_bound,
     dense_add,
     dense_gcd,
-    dense_mod,
-    dense_mul,
     dense_powmod,
     evaluate,
     evaluator,
@@ -256,7 +254,8 @@ def test_dense_gcd():
     g = dense_gcd(a, b)
     assert g.coeffs == (6, 1)
     # gcd divides both and is monic
-    assert dense_mod(a, g).is_zero() and dense_mod(b, g).is_zero()
+    assert _dense_mod(F7, list(a.coeffs), list(g.coeffs)) == []
+    assert _dense_mod(F7, list(b.coeffs), list(g.coeffs)) == []
     assert g.coeffs[-1] == 1
     with pytest.raises(ZeroDivisionError):
         dense_gcd(DensePoly(F7, ()), DensePoly(F7, ()))
@@ -266,9 +265,9 @@ def test_dense_powmod():
     x = DensePoly(F5, (0, 1))
     mod = DensePoly(F5, (1, 0, 1))
     assert dense_powmod(x, 5, mod).coeffs == (0, 1)  # x^5 = x mod x^2+1 over F_5
-    assert dense_mod(DensePoly(F5, (0, 0, 0, 1)), x).is_zero()
+    assert _dense_mod(F5, [0, 0, 0, 1], [0, 1]) == []
     with pytest.raises(ZeroDivisionError):
-        dense_mod(x, DensePoly(F5, ()))
+        _dense_mod(F5, [0, 1], [])
 
 
 def test_dense_powmod_vs_naive():
@@ -278,22 +277,25 @@ def test_dense_powmod_vs_naive():
         g = DensePoly(field, tuple([rng.randrange(field.q) for _ in range(3)] + [1]))
         base = DensePoly(field, tuple(rng.randrange(field.q) for _ in range(3)))
         e = rng.randrange(0, 65)
-        naive = DensePoly(field, (1,))
+        naive = [1]
         for _ in range(e):
-            naive = dense_mod(dense_mul(naive, base), g)
-        assert dense_powmod(base, e, g) == naive
+            naive = _dense_mod(field, _dense_mul(field, naive, list(base.coeffs)),
+                               list(g.coeffs))
+        assert dense_powmod(base, e, g).coeffs == tuple(naive)
 
 
 def test_dense_add_mul():
     a = DensePoly(F5, (1, 2))
     b = DensePoly(F5, (4, 3))
     assert dense_add(a, b).is_zero()  # (1+4, 2+3) vanishes mod 5
-    assert dense_mul(a, b).coeffs == (4, 1, 1)
+    assert _dense_mul(F5, list(a.coeffs), list(b.coeffs)) == [4, 1, 1]
 
 
 def test_to_dense():
     assert to_dense(SparsePoly(F5, ((1, 2), (1, 0))), 10).coeffs == (1, 0, 1)
     assert to_dense(SparseShiftPoly(F5, ((1, 1, 2),)), 10).coeffs == (1, 2, 1)
+    # 2*(x+3)^0 = 2 everywhere
+    assert to_dense(SparseShiftPoly(F5, ((2, 3, 0), (1, 1, 2))), 10).coeffs == (3, 2, 1)
     builder = SlpBuilder(F5, "extended")
     reg = builder.power(builder.x(), 2 ** 40)
     with pytest.raises(DegreeCapExceededError):

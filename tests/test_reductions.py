@@ -12,8 +12,9 @@ from oracles import (
     pattern_map,
     solution_patterns_reference,
 )
+from samples import identity_circuit
 
-from valueset import charsum, counting, polyrep
+from valueset import charsum, counting, polyrep, reductions
 from valueset.errors import (
     ClauseTooLongError,
     DeskScaleExceededError,
@@ -39,7 +40,6 @@ from valueset.reductions import (
     decision_prime_bound,
     find_prime_above,
     gamma_image_check,
-    identity_circuit,
     parse_dimacs,
     parse_ssp,
     sat_count,
@@ -185,6 +185,23 @@ def test_solution_patterns_match_bitwise_reference():
 def test_decide_scale_guard():
     with pytest.raises(DeskScaleExceededError):
         decide_ssp_via_root(SubsetSumInstance((1,) * 9, 3))
+
+
+def test_desk_scale_refused_before_the_work(monkeypatch):
+    # t > 8, or a prime bound at or above 2^26, refuses before the prime
+    # search; the gamma cap before the circuit is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work past a desk-scale limit")
+
+    monkeypatch.setattr(reductions, "find_prime_above", forbidden)
+    monkeypatch.setattr(reductions, "build_circuit", forbidden)
+    for inst in (SubsetSumInstance((1,) * 9, 3), SubsetSumInstance((2 ** 26,), 1),
+                 SubsetSumInstance((10 ** 1500,), 1)):
+        for run in (decide_ssp_via_root, count_ssp_via_valueset):
+            with pytest.raises(DeskScaleExceededError):
+                run(inst)
+    with pytest.raises(DeskScaleExceededError, match="gamma construction cap"):
+        gamma_image_check(Cnf3(60000, ((1, 2, 3),)))
 
 
 def test_decision_grid_subsample():
@@ -429,8 +446,6 @@ def test_gamma_fidelity_small():
         ev = polyrep.evaluator(polyrep.reduce_exponents(construction.gamma))
         for u in range(construction.field.q):
             assert ev(u) == circuit.eval_bits(u)
-            coords = construction.coordinates(u)
-            assert construction.coordinates(ev(u)) == circuit.apply(coords)
 
 
 def test_gamma_term_count_bound():

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import charsum, counting, polyrep, reductions, verify
@@ -45,7 +46,9 @@ _SCALE = (OrderTooLargeError, DeskScaleExceededError, DegreeCapExceededError)
 _INTERNAL = (NonIntegralResultError, AssertionError)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="valueset",
         description="Exact value-set cardinality over finite fields, "

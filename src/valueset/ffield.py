@@ -555,9 +555,9 @@ class Field:
     product or power, zero operands included, from a table of a -> a*g
     (_build_logexp; sums taken before that run digit by digit and build
     nothing); above the cap a packed-integer product reduced by
-    precomputed rows and digit-wise sums.  Direct counts above the cap
-    mostly bypass these ops: polyrep.block_values runs odd p on lists of
-    digits.
+    precomputed rows and digit-wise sums.  Direct counts mostly bypass
+    these ops: polyrep.block_values runs odd p above the cap on lists of
+    digits, and p = 2 on bit planes but for sparse inputs.
     """
 
     p: int

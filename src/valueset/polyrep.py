@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -19,6 +21,7 @@ from itertools import chain, islice, repeat
 
 from .errors import (
     DegreeCapExceededError,
+    DeskScaleExceededError,
     FieldMismatchError,
     OrderTooLargeError,
     ParseError,
@@ -360,27 +363,37 @@ def evaluator(f):
 # block's lists stay small.
 BLOCK = 4096
 
+# A block of the bit-plane ring holds 2^min(m, PLANE_BITS) points: the
+# whole field up to F_2^16, and never a partial block.  Its planes and
+# value bytes stay within about 0.5 MB, so q up to 2^26 fits in memory.
+PLANE_BITS = 16
+
+# A ring over blocks of field elements.  add, sub, mul and lift (a field
+# element to a constant block) are its arithmetic; blocks() yields a
+# (points, n) pair per block of n points, and values(u, n) turns a block
+# result u into the values at those n points.
+Ring = namedtuple("Ring", "add sub mul lift blocks values")
+
 
 def _digit_lists_win(p: int, m: int) -> bool:
     """Whether block_values takes the digit-list ring above _TABLE_CAP.
 
     A ring product costs about 2m^2 list operations per point; a pointwise
-    product unpacks, multiplies and repacks m digits, and for p = 2 its
-    sums are XOR.  Timed per point against the pointwise map on the first
-    blocks of x*x + 1, a degree-4 dense polynomial and one shift triple
-    (BENCH_14.json "crossover", identical values): the ring is 2.1-5.9x
-    faster on F_257^2, F_67^3, F_17^4 and F_7^6, 1.1-2.3x on F_5^7 and
-    F_7^9, 1.0-1.3x on F_5^10 and F_5^11, level on F_3^11 (0.9-1.2x),
-    F_3^12 (0.9-1.1x) and F_3^13 (0.8-1.0x), and 0.5x on F_2^17 but for
-    its shift input (1.2x).
+    product unpacks, multiplies and repacks m digits.  Timed per point
+    against the pointwise map on the first blocks of x*x + 1, a degree-4
+    dense polynomial and one shift triple (BENCH_14.json "crossover",
+    identical values): the ring is 2.1-5.9x faster on F_257^2, F_67^3,
+    F_17^4 and F_7^6, 1.1-2.3x on F_5^7 and F_7^9, 1.0-1.3x on F_5^10 and
+    F_5^11, and level on F_3^11 (0.9-1.2x), F_3^12 (0.9-1.1x) and F_3^13
+    (0.8-1.0x).
     """
     return p > 2 and m < 12
 
 
-def _digit_ring(field: Field):
-    """add, sub, mul and lift over blocks of F_(p^m) elements held as m
-    lists, digit i of every point in list i (a little-endian coefficient
-    vector over F_p whose entries are lists).
+def _digit_ring(field: Field) -> Ring:
+    """Blocks of F_(p^m) elements held as m lists, digit i of every point
+    in list i (a little-endian coefficient vector over F_p whose entries
+    are lists).
 
     A product is m^2 list products gathered into the coefficients of
     x^0..x^(2m-2); those of x^m..x^(2m-2) fold back through the rows
@@ -390,7 +403,7 @@ def _digit_ring(field: Field):
     turns an element into m constant lists of BLOCK entries; map stops at
     the shortest list, so they serve a partial block too.
     """
-    p, m = field.p, field.m
+    p, m, q = field.p, field.m, field.q
     rows = _reduction_rows(p, field.modulus, m - 1)  # x^m .. x^(2m-2)
     pairs = [[(i, k - i) for i in range(max(0, k - m + 1), min(k, m - 1) + 1)]
              for k in range(2 * m - 1)]
@@ -423,7 +436,101 @@ def _digit_ring(field: Field):
     def lift(c):
         return [[d] * BLOCK for d in field.coeffs(c)]
 
-    return add, sub, mul, lift
+    # Blocks start at multiples of size = c * p^j (p^j <= BLOCK < p^(j+1)
+    # or j = m - 1), so digits 0..j-1 of a block's points are those of
+    # 0..size-1, computed once, and each higher digit is constant over
+    # runs of p^j points.
+    powers = [p ** i for i in range(m)]
+    j = max(i for i, s in enumerate(powers) if s <= BLOCK)
+    span = powers[j]
+    size = BLOCK // span * span
+    low_digits = [[x // s % p for x in range(size)] for s in powers[:j]]
+    spans = repeat(span)
+
+    def blocks():
+        for lo in range(0, q, size):
+            n = min(size, q - lo)
+            runs = range(lo, lo + n, span)
+            yield [d[:n] for d in low_digits] + [
+                list(chain.from_iterable(map(repeat, [x // s % p for x in runs], spans)))
+                for s in powers[j:]], n
+
+    def values(u, n):
+        *low, high = u
+        out = map(operator.mod, high, mods)  # index = digits read top first
+        for digit in reversed(low):
+            out = map(operator.add, map(operator.mul, out, mods),
+                      map(operator.mod, digit, mods))
+        return list(islice(out, n))
+
+    return Ring(add, sub, mul, lift, blocks, values)
+
+
+def _plane_ring(field: Field) -> Ring:
+    """Blocks of F_(2^m) elements held as m bit planes: bit t of int i is
+    digit i of the value at the block's point t (bit-slicing).
+
+    A sum is XOR, and so is a difference.  A product is m^2 ANDs gathered
+    by XOR into the coefficients of x^0..x^(2m-2); those of x^m..x^(2m-2)
+    fold back through the rows x^k mod modulus (ffield._reduction_rows).
+    Block b holds the points b*2^k + t, t < 2^k, k = min(m, PLANE_BITS):
+    planes 0..k-1 of its points are fixed bit patterns (bit t of plane i
+    is bit i of t) and the higher planes are constant.  values spreads
+    each plane's bits through bin() and a UTF-16 (m <= 16) or UTF-32
+    encoding into 2- or 4-byte slots of one int, each holding '0' or '1',
+    sums the planes shifted by their digit, subtracts what the '0's add,
+    and reads the slots as an array.
+    """
+    m, q = field.m, field.q
+    k = min(m, PLANE_BITS)
+    size = 1 << k
+    ones = (1 << size) - 1
+    rows = _reduction_rows(2, field.modulus, m - 1)  # x^m .. x^(2m-2)
+    folds = [[j for j, row in enumerate(rows, m) if row[i]] for i in range(m)]
+
+    def mul(u, v):
+        c = [0] * (2 * m - 1)
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v, i):
+                    c[j] ^= a & b
+        out = c[:m]
+        for i, fold in enumerate(folds):
+            for j in fold:
+                out[i] ^= c[j]
+        return out
+
+    def add(u, v):
+        return [a ^ b for a, b in zip(u, v)]
+
+    def lift(c):
+        return [ones if c >> i & 1 else 0 for i in range(m)]
+
+    # Plane i of the points 0..2^k-1: runs of 2^i zeros and 2^i ones,
+    # the first period doubled until it fills the block.
+    low = []
+    for i in range(k):
+        plane, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while period < size:
+            plane |= plane << period
+            period *= 2
+        low.append(plane)
+
+    def blocks():
+        for b in range(q >> k):
+            yield low + lift(b)[:m - k], size
+
+    width, code = (2, "H") if m <= 16 else (4, "I")
+    encoding, top = f"utf-{8 * width}-le", 1 << size
+    zeros = int.from_bytes(("0" * size).encode(encoding), "little") * ((1 << m) - 1)
+
+    def values(u, n):
+        total = -zeros
+        for i, plane in enumerate(u):
+            total += int.from_bytes(bin(plane | top)[3:].encode(encoding), "little") << i
+        return array(code, total.to_bytes(width * n, sys.byteorder))
+
+    return Ring(add, add, mul, lift, blocks, values)
 
 
 def _fold_shift(f: SparseShiftPoly) -> tuple[int, list[tuple[int, int, int]]]:
@@ -441,18 +548,14 @@ def _fold_shift(f: SparseShiftPoly) -> tuple[int, list[tuple[int, int, int]]]:
     return const, triples
 
 
-def _digit_blocks(f):
-    """block_values over the digit-list ring (_digit_ring), one block of
-    points in increasing index order at a time.  Dense: Horner's rule.
-    Sparse: exponents folded through x^q = x, each term its coefficient
-    times the squares x^(2^k) that its exponent's bits pick.  Shift:
-    _fold_shift, then (x + b)^e by square-and-multiply.  Slp: the
-    registers are digit lists.
-    Coefficients are lifted block by block, so a long input holds one
-    block's lists at a time."""
-    field = f.field
-    p, m, q = field.p, field.m, field.q
-    add, sub, mul, lift = _digit_ring(field)
+def _ring_blocks(f, ring: Ring):
+    """block_values over a block ring, one block of points at a time.
+    Dense: Horner's rule.  Sparse: exponents folded through x^q = x, each
+    term its coefficient times the squares x^(2^k) that its exponent's
+    bits pick.  Shift: _fold_shift, then (x + b)^e by square-and-multiply.
+    Slp: the registers are block elements.  Coefficients are lifted block
+    by block, so a long input holds one block's elements at a time."""
+    add, sub, mul, lift = ring.add, ring.sub, ring.mul, ring.lift
     if isinstance(f, DensePoly):
         lead, *rest = f.coeffs[::-1] or (0,)
 
@@ -489,48 +592,35 @@ def _digit_blocks(f):
         run = _compile_slp(f, add, sub, mul, lift)
     else:
         raise TypeError(f"not a polynomial representation: {type(f).__name__}")
-    # Blocks start at multiples of size = c * p^j (p^j <= BLOCK < p^(j+1)
-    # or j = m - 1), so digits 0..j-1 of a block's points are those of
-    # 0..size-1, computed once, and each higher digit is constant over
-    # runs of p^j points.
-    powers = [p ** i for i in range(m)]
-    j = max(i for i, s in enumerate(powers) if s <= BLOCK)
-    span = powers[j]
-    size = BLOCK // span * span
-    low_digits = [[x // s % p for x in range(size)] for s in powers[:j]]
-    ps, spans = repeat(p), repeat(span)
-    for lo in range(0, q, size):
-        n = min(size, q - lo)
-        runs = range(lo, lo + n, span)
-        *low, high = run([d[:n] for d in low_digits] + [
-            list(chain.from_iterable(map(repeat, [x // s % p for x in runs], spans)))
-            for s in powers[j:]])
-        values = map(operator.mod, high, ps)  # index = digits read top first
-        for digit in reversed(low):
-            values = map(operator.add, map(operator.mul, values, ps),
-                         map(operator.mod, digit, ps))
-        yield list(islice(values, n))
+    for x, n in ring.blocks():
+        yield ring.values(run(x), n)
 
 
 def block_values(f):
     """f's values at all q points of its field, one list per block.
 
-    Every point contributes one value to one list, in no fixed order.
-    Over F_p each representation has a list kernel.  Dense: Horner's rule
-    over a block of points.  Sparse: x = g^j walks F_p^* for a primitive
-    root g, term c*x^e reads exp[(log c + e*j) mod (p-1)], and x = 0
-    takes the constant term.  Shift: the map y -> a*y^e is tabulated once
-    per triple through the log table and rotated by b.  Slp: the
+    Every point contributes one value to one list (or array), in no fixed
+    order.  Over F_p each representation has a list kernel.  Dense:
+    Horner's rule over a block of points.  Sparse: x = g^j walks F_p^* for
+    a primitive root g, term c*x^e reads exp[(log c + e*j) mod (p-1)], and
+    x = 0 takes the constant term.  Shift: the map y -> a*y^e is tabulated
+    once per triple through the log table and rotated by b.  Slp: the
     program's registers are lists.  The log/exp tables are built per
-    call, for sparse and shift inputs only.  Above _TABLE_CAP, where
-    _digit_lists_win says so, every representation runs over the
-    digit-list ring (_digit_blocks).  Other extension fields, table
-    fields among them, map the compiled evaluator over each block.
+    call, for sparse and shift inputs only.  Over F_(2^m) dense, shift
+    and slp inputs run on the bit-plane ring (_plane_ring), table fields
+    and fields above _TABLE_CAP alike; sparse inputs there stay on the
+    routes below.  Above _TABLE_CAP, where _digit_lists_win says so, every
+    representation runs on the digit-list ring (_digit_ring).  Other
+    extension fields, table fields among them, map the compiled evaluator
+    over each block.
     """
     field = f.field
     if field.m != 1:
+        if field.p == 2 and not isinstance(f, SparsePoly):
+            yield from _ring_blocks(f, _plane_ring(field))
+            return
         if field.q > _TABLE_CAP and _digit_lists_win(field.p, field.m):
-            yield from _digit_blocks(f)
+            yield from _ring_blocks(f, _digit_ring(field))
             return
         ev, q = evaluator(f), field.q
         for lo in range(0, q, BLOCK):
@@ -758,16 +848,31 @@ def _found(tok) -> str:
     return "end of input" if tok is None else repr(tok)
 
 
+# CPython's int() refuses decimal strings of more than 4300 digits
+# (sys.get_int_max_str_digits); a number that long is far above desk scale.
+MAX_DIGITS = 4300
+
+
+def check_digits(tok: str, line=None, col=None) -> str:
+    """tok, or DeskScaleExceededError if it has more than MAX_DIGITS digits."""
+    digits = sum(map(str.isdigit, tok))
+    if digits > MAX_DIGITS:
+        where = "" if line is None else f" (line {line}, column {col})"
+        raise DeskScaleExceededError(
+            f"a {digits}-digit integer{where} exceeds the {MAX_DIGITS}-digit cap")
+    return tok
+
+
 def _parse_int(tok, line, col) -> int:
     if tok is None or not tok.isdigit():
         raise ParseError(f"expected an integer, found {_found(tok)}", line, col)
-    return int(tok)
+    return int(check_digits(tok, line, col))
 
 
 def _parse_element(field: Field, tok, line, col) -> int:
     if tok is None or not re.fullmatch(r"\d+(?:\.\d+)*", tok):
         raise ParseError(f"expected a field element, found {_found(tok)}", line, col)
-    digits = [int(d) for d in tok.split(".")]
+    digits = [int(check_digits(d, line, col)) for d in tok.split(".")]
     if len(digits) > field.m:
         raise FieldMismatchError(
             f"element {tok!r} has {len(digits)} coordinates but m={field.m}")
@@ -907,7 +1012,7 @@ def _parse_slp(lines) -> Slp:
     def reg_index(tok, line, col, limit):
         if tok is None or not re.fullmatch(r"r\d+", tok):
             raise ParseError(f"expected a register, found {_found(tok)}", line, col)
-        idx = int(tok[1:])
+        idx = int(check_digits(tok[1:], line, col))
         if not 1 <= idx <= limit:
             raise ParseError(f"register {tok} out of range", line, col)
         return idx

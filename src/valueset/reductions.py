@@ -74,8 +74,8 @@ def parse_ssp(text: str) -> SubsetSumInstance:
     if len(head) != 2 or head[0] != "ssp" or not head[1].startswith("b="):
         raise ParseError(f"bad header {lines[0]!r}", 1)
     try:
-        b = int(head[1][2:])
-        a = tuple(int(tok) for tok in lines[1].split())
+        b = int(polyrep.check_digits(head[1][2:]))
+        a = tuple(int(polyrep.check_digits(tok)) for tok in lines[1].split())
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     try:
@@ -388,8 +388,8 @@ def parse_dimacs(text: str) -> Cnf3:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}", lineno)
             try:
-                n = int(parts[2])
-                declared = int(parts[3])
+                n = int(polyrep.check_digits(parts[2]))
+                declared = int(polyrep.check_digits(parts[3]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             continue

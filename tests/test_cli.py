@@ -128,6 +128,48 @@ def test_reduce_above_desk_scale_exits_before_work(tmp_path, capsys, kind, text)
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("command,text", [
+    (["reduce", "ssp-decide"], "ssp b=1\n1" + "0" * 5000 + "\n"),
+    (["reduce", "ssp-count"], "ssp b=1" + "0" * 4300 + "\n3 5\n"),
+    (["count"], "dense p=1" + "0" * 4999 + ": 1 1\n"),
+    (["count"], "sparse p=2 m=3: 1*x^" + "0" * 4300 + "1\n"),
+    (["count"], "dense p=3 m=2: 1.1" + "0" * 4300 + "\n"),
+    (["count"], "slp p=5 mode=extended\nr1 := x\nout r" + "1" * 4301 + "\n"),
+    (["reduce", "sat3"], "p cnf 3 1" + "0" * 4300 + "\n1 2 3 0\n"),
+])
+def test_integer_above_digit_cap_exits_3(tmp_path, capsys, command, text):
+    # CPython's int() refuses more than 4300 digits; the parsers refuse
+    # such a number as above desk scale first, in one stderr line
+    code, out, err = run_cli(capsys, *command, write(tmp_path, "huge.in", text))
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "4300-digit cap" in err
+
+
+def test_consecutive_calls_print_what_lone_calls_print(tmp_path, capsys):
+    # the parser is built once per process; a call must not see another
+    # call's subcommand, options or defaults
+    poly = write(tmp_path, "f.poly", "dense p=7: 1 0 0 1\n")
+    ssp = write(tmp_path, "i.ssp", "ssp b=5\n2 3 4\n")
+    calls = [
+        ["count", poly, "--method", "codomain", "--format", "text"],
+        ["count", poly],
+        ["char", "onto", "--p", "7", "--t", "3"],
+        ["char", "--p", "11"],
+        ["verify", "identities", "--workers", "0"],
+        ["reduce", "ssp-decide", ssp, "--prime", "random", "--seed", "3"],
+        ["reduce", "ssp-decide", ssp],
+        ["permtest", poly, "--method", "symmetric"],
+        ["count", poly, "--nk", "hypersurface", "--method", "symmetric"],
+        ["count", poly],
+    ]
+    lone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        lone.append(run_cli(capsys, *argv))
+    assert [run_cli(capsys, *argv) for argv in calls] == lone
+    assert lone[1] == lone[-1] and lone[0] != lone[1] and lone[5] != lone[6]
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NonIntegralResultError("forced")

@@ -110,15 +110,16 @@ def block_route_cases(field, rng):
                       ("sub", 4, 2), ("mul", 5, 1)), 6)
 
 
-def digit_route_cases(field, rng, costly):
+def ring_route_cases(field, rng, costly):
     """Zero and an F_q constant outside F_p; degree >= q; shift triples
     with e = 0 or b = 0; a program using gen, const and sub.  With costly
     (about a second more on a field above the cap) also a degree-2 dense
     polynomial, sparse exponents that are multiples of q - 1 (they fold to
     q - 1, about twenty ring products a block) and a shift pair that
-    cancels, a(x+b)^e + (-a)(x+b)^e.  Every case that depends on x is
-    quadratic: a wrong product that is still bilinear leaves the histogram
-    of a map linear over F_p unchanged."""
+    cancels, a(x+b)^e + (-a)(x+b)^e; up to q = 256 also a dense polynomial
+    of degree q + 1.  Every case that depends on x is quadratic: a wrong
+    product that is still bilinear leaves the histogram of a map linear
+    over F_p unchanged."""
     p, q = field.p, field.q
 
     def r(lo=0):
@@ -136,12 +137,14 @@ def digit_route_cases(field, rng, costly):
                       ("mul", 1, 2), ("sub", 4, 3), ("mul", 5, 1)), 6)
     if costly:
         yield DensePoly(field, (r(), r(), c))
+    if costly and q <= 256:
+        yield DensePoly(field, tuple(r() for _ in range(q + 1)) + (c,))
 
 
 def table_twin(field, monkeypatch):
     """field with log/exp table arithmetic even above _TABLE_CAP: a
     pointwise reference about ten times cheaper than packed products, and
-    one that shares no code with the digit-list ring's reduction rows."""
+    one that shares no code with the block rings' reduction rows."""
     with monkeypatch.context() as patch:
         patch.setattr(ffield, "_TABLE_CAP", field.q)
         twin = Field(field.p, field.m, field.modulus)
@@ -150,10 +153,13 @@ def table_twin(field, monkeypatch):
 
 
 # F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9,
-# F_257^2 and F_17^4 end in a partial block, F_2^13 fills two.  F_257^2
-# and F_17^4 lie above the table cap on the digit-list ring.
+# F_257^2 and F_17^4 end in a partial block.  F_257^2 and F_17^4 lie above
+# the table cap on the digit-list ring.  F_4, F_8, F_2^8, F_2^13 and F_2^17
+# take the bit-plane ring but for sparse inputs; F_2^17 fills two blocks
+# and its top plane is constant in each.
 BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
-                (2, 2), (3, 2), (2, 13), (3, 9), (257, 2), (17, 4)]
+                (2, 2), (2, 3), (3, 2), (2, 8), (2, 13), (3, 9), (257, 2), (17, 4),
+                (2, 17)]
 
 
 @pytest.mark.parametrize("p,m", BLOCK_FIELDS, ids=[str(p ** m) for p, m in BLOCK_FIELDS])
@@ -162,21 +168,29 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
     q = field.q
     rng = random.Random(q)
     reference = field
+    planes = p == 2 and m > 1
     if m == 1:
         polys = list(block_route_cases(field, rng))
-    elif q > ffield._TABLE_CAP:
-        polys = list(digit_route_cases(field, rng, m == 2))
-        reference = table_twin(field, monkeypatch)
+    elif q > ffield._TABLE_CAP or planes:
+        polys = list(ring_route_cases(field, rng, m == 2 or planes))
     else:  # zero, a constant, and degree q + 1 (folding to x^2) with a constant term
         polys = [DensePoly(field, ()), DensePoly(field, (rng.randrange(1, q),)),
                  SparsePoly(field, ((rng.randrange(1, q), 0), (rng.randrange(1, q), q + 1)))]
+    if q > ffield._TABLE_CAP:
+        reference = table_twin(field, monkeypatch)
+        if planes:  # sparse stays pointwise: seconds of packed products
+            polys = [f for f in polys if not isinstance(f, SparsePoly)]
     if q <= 13:  # degree >= q, and up to 3q, where that costs little
         polys += sample_polys(field, rng)
     want = [Counter(map(polyrep.evaluator(dataclasses.replace(f, field=reference)), range(q)))
             for f in polys]
-    if m == 1 or q > ffield._TABLE_CAP:
-        def no_pointwise(f):
-            raise AssertionError("a list-kernel count called the pointwise evaluator")
+    if m == 1 or q > ffield._TABLE_CAP or planes:
+        pointwise = polyrep.evaluator
+
+        def no_pointwise(f):  # sparse inputs over F_(2^m) stay pointwise
+            if planes and isinstance(f, SparsePoly):
+                return pointwise(f)
+            raise AssertionError("a block-ring count called the pointwise evaluator")
 
         monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
     for f, hist in zip(polys, want):
@@ -185,24 +199,39 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 3)])
 def test_digit_ring_matches_pointwise_on_small_fields(p, m):
-    # the digit-list ring called directly, below the cap, where a full
+    # the digit-list ring (and over F_(2^m) the bit-plane ring) called
+    # directly, sparse inputs included, below the cap, where a full
     # pointwise reference is cheap for degree >= q and strict programs too
     field = make_field(p, m)
     rng = random.Random(f"ring:{p}:{m}")
-    for f in [*sample_polys(field, rng), *digit_route_cases(field, rng, True)]:
+    rings = [polyrep._digit_ring] + [polyrep._plane_ring] * (p == 2)
+    for f in [*sample_polys(field, rng), *ring_route_cases(field, rng, True)]:
         want = Counter(map(polyrep.evaluator(f), range(field.q)))
-        assert Counter(chain.from_iterable(polyrep._digit_blocks(f))) == want, f
+        for ring in rings:
+            assert Counter(chain.from_iterable(
+                polyrep._ring_blocks(f, ring(field)))) == want, (ring.__name__, f)
 
 
-def test_digit_rule_leaves_char_2_pointwise(monkeypatch):
-    # above the cap, p = 2 keeps the pointwise evaluator (see _digit_lists_win)
-    field = make_field(2, 17)
-    f = Slp(field, (("x",),), 1)
-    calls = []
-    evaluator = polyrep.evaluator
-    monkeypatch.setattr(polyrep, "evaluator", lambda g: calls.append(g) or evaluator(g))
-    assert count_direct(f)[1].entries == Counter(range(field.q))
-    assert calls == [f]
+@pytest.mark.parametrize("m", [13, 17])
+def test_char_2_sparse_stays_pointwise(m, monkeypatch):
+    # over F_(2^m), table field or not, sparse inputs keep the pointwise
+    # evaluator and dense, shift and slp inputs run on bit planes
+    field = make_field(2, m)
+    q, rng = field.q, random.Random(m)
+
+    class Pointwise(Exception):
+        pass
+
+    def refuse(f):
+        raise Pointwise(f)
+
+    monkeypatch.setattr(polyrep, "evaluator", refuse)
+    with pytest.raises(Pointwise):
+        count_direct(SparsePoly(field, ((1, 3), (rng.randrange(1, q), 1))))
+    for f in (DensePoly(field, (rng.randrange(q), 0, 1)),
+              SparseShiftPoly(field, ((1, rng.randrange(q), 3),)),
+              Slp(field, (("x",), ("mul", 1, 1)), 2)):
+        assert count_direct(f)[0].cardinality > 0
 
 
 def test_count_direct_cap():
@@ -511,10 +540,15 @@ def test_count_direct_builds_one_table(monkeypatch):
 
     monkeypatch.setattr(Field, "_build_logexp", counted)
     field = make_field(2, 14)
-    f = DensePoly(field, (0, field.gen, 0, 1))
+    f = SparsePoly(field, ((field.gen, 1), (1, 3)))
     _, hist = count_direct(f)
     assert builds == [field.q]
     assert hist.entries == Counter(map(polyrep.evaluator(f), range(field.q)))
+    # a dense count there runs on bit planes and builds none (a new field
+    # object: its tables are not built yet)
+    builds.clear()
+    count_direct(DensePoly(make_field(2, 14), (0, field.gen, 0, 1)))
+    assert builds == []
     # a constant too: its products are by zero, and they still build, so
     # no sum runs digit by digit
     digit_sums = []

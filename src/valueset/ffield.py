@@ -556,8 +556,10 @@ class Field:
     (_build_logexp; sums taken before that run digit by digit and build
     nothing); above the cap a packed-integer product reduced by
     precomputed rows and digit-wise sums.  Direct counts mostly bypass
-    these ops: polyrep.block_values runs odd p above the cap on lists of
-    digits, and p = 2 on bit planes but for sparse inputs.
+    these ops: polyrep.block_values extends low-degree inputs over fields
+    with p >= 64 by forward differences, runs odd p above the cap on lists
+    of digits, and p = 2 on bit planes but for sparse inputs over table
+    fields.
     """
 
     p: int
@@ -681,6 +683,14 @@ class Field:
         return out
 
 
+@lru_cache(maxsize=256)
+def _irreducible_modulus(p: int, modulus: tuple[int, ...]) -> bool:
+    """is_irreducible, memoized per (p, modulus): every parse of a header
+    builds its field again, and the Rabin test was about 15% of an
+    in-process count over F_2^13."""
+    return is_irreducible(list(modulus), p)
+
+
 def make_field(p: int, m: int = 1, modulus=None) -> Field:
     """Build F_(p^m), verifying primality and finding a modulus for m > 1.
 
@@ -703,7 +713,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
             raise ValueError(f"modulus must have degree {m}")
         if any(not 0 <= c < p for c in modulus):
             raise ValueError("modulus coefficients must lie in [0, p)")
-        if not is_irreducible(list(modulus), p):
+        if not _irreducible_modulus(p, modulus):
             raise ValueError("modulus is not irreducible over F_p")
         return Field(p=p, m=m, modulus=modulus)
     for idx in range(p ** m):
@@ -713,7 +723,7 @@ def make_field(p: int, m: int = 1, modulus=None) -> Field:
             e, d = divmod(e, p)
             cand.append(d)
         cand.append(1)
-        if is_irreducible(cand, p):
+        if _irreducible_modulus(p, tuple(cand)):
             return Field(p=p, m=m, modulus=tuple(cand))
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 

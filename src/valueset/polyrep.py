@@ -17,7 +17,7 @@ from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .errors import (
     DegreeCapExceededError,
@@ -596,27 +596,124 @@ def _ring_blocks(f, ring: Ring):
         yield ring.values(run(x), n)
 
 
+def _differences_win(p: int, m: int, d: int) -> bool:
+    """Whether block_values extends lines from their first d + 1 values
+    (_difference_lines) for f of degree at most d over F_(p^m).
+
+    Timed per representation against the other routes of block_values on
+    F_131 .. F_131071 and F_31^2 .. F_257^2 for d = 0 .. 12 (BENCH_17.json
+    "cutover", identical histograms).  Where the rule holds the route is
+    1.0-8.8x faster over F_p (0.89-0.94x for dense constants, one list
+    either way) and 1.0-39x over F_67^2 and F_257^2.  Above d = 8 sparse
+    and shift inputs of few terms, whose kernels do not grow with d, catch
+    up (0.85-1.4x at d = 12).  Over F_p with p(d + 1) < 2048 a count takes
+    microseconds and the route's set-up (degree bound, dense expansion,
+    seeds) is not repaid for slp inputs (0.82-0.97x on F_131 and F_257).
+    Over F_(p^m) a line is p points: at p = 31 slp inputs lose
+    (0.80-0.98x), at p = 61 and 67 every input wins (1.1-39x).
+    """
+    return d <= 8 and p >= 64 and p ** m * (d + 1) >= 2048
+
+
+def _horner(coeffs, xs, p: int) -> list[int]:
+    """Dense coefficients over F_p evaluated at the integers xs, mod p."""
+    top, *rest = coeffs[::-1] or (0,)
+    acc = [top] * len(xs)
+    for c in rest:
+        acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+    return acc
+
+
+def _extend(seeds, n: int, p: int):
+    """The first n terms v_0, v_1, ... of a sequence of degree at most
+    d = len(seeds) - 1 over F_p whose first d + 1 terms are seeds, lazily
+    and unreduced.  By Newton's forward differences, v_t = sum over k of
+    C(t, k) * D^k, D^k the k-th difference of the seeds at t = 0: the
+    constant D^d summed d times in turn, the running sum at level k
+    starting from D^k."""
+    diffs = []
+    while seeds:
+        diffs.append(seeds[0] % p)
+        seeds = [b - a for a, b in zip(seeds, seeds[1:])]
+    out = repeat(diffs.pop(), n - len(diffs))
+    for start in reversed(diffs):
+        out = accumulate(out, initial=start)
+    return islice(out, n)
+
+
+def _difference_lines(f, bound: int):
+    """block_values by forward differences for f of degree at most bound.
+
+    A line is the points x0 + t, t = 0, 1, ..., on which f is a polynomial
+    in t of degree d <= bound, so its values follow from those at its
+    first d + 1 points by d running sums (_extend).  Adding t moves only
+    digit 0 of x0, and sums in F_(p^m) are digit-wise, so every digit of
+    the values runs its own sums.  Over F_p a line is a block of BLOCK
+    points; over F_(p^m) it is the p points a*p + t.  The first d + 1
+    values of every line come from the dense expansion (to_dense): Horner's
+    rule on integers over F_p, the digit-list ring (_digit_ring) over
+    F_(p^m), a block of seed points for many lines at once.  The unreduced
+    sums stay below about BLOCK^d * p, a few machine words.
+    """
+    field = f.field
+    p, m = field.p, field.m
+    g = to_dense(f, bound)
+    d = len(g.coeffs) - 1
+    if d < 1:  # a constant, zero included
+        c, = g.coeffs or (0,)
+        for lo in range(0, field.q, BLOCK):
+            yield [c] * min(BLOCK, field.q - lo)
+        return
+    if m == 1:
+        for lo in range(0, p, BLOCK):
+            seeds = _horner(g.coeffs, range(lo, lo + d + 1), p)
+            yield list(map(operator.mod, _extend(seeds, min(BLOCK, p - lo), p), repeat(p)))
+        return
+    ring = _digit_ring(field)
+    per = BLOCK // (d + 1)  # lines whose seed points fill a block
+    powers = [p ** i for i in range(m - 1)]
+
+    def seed_blocks():
+        for lo in range(0, field.q // p, per):
+            lines = range(lo, min(lo + per, field.q // p))  # a of a*p + t
+            yield [list(range(d + 1)) * len(lines)] + [
+                list(chain.from_iterable(repeat(a // s % p, d + 1) for a in lines))
+                for s in powers], len(lines) * (d + 1)
+
+    seeds = ring._replace(blocks=seed_blocks, values=lambda u, n: [c[:n] for c in u])
+    for u in _ring_blocks(g, seeds):
+        for j in range(0, len(u[0]), d + 1):
+            yield ring.values([_extend(digit[j:j + d + 1], p, p) for digit in u], p)
+
+
 def block_values(f):
     """f's values at all q points of its field, one list per block.
 
     Every point contributes one value to one list (or array), in no fixed
-    order.  Over F_p each representation has a list kernel.  Dense:
+    order.  Where _differences_win says so for the degree bound d, every
+    representation is expanded to dense coefficients and each line of
+    points extended from its first d + 1 values (_difference_lines).
+    Otherwise, over F_p each representation has a list kernel.  Dense:
     Horner's rule over a block of points.  Sparse: x = g^j walks F_p^* for
     a primitive root g, term c*x^e reads exp[(log c + e*j) mod (p-1)], and
     x = 0 takes the constant term.  Shift: the map y -> a*y^e is tabulated
     once per triple through the log table and rotated by b.  Slp: the
     program's registers are lists.  The log/exp tables are built per
-    call, for sparse and shift inputs only.  Over F_(2^m) dense, shift
-    and slp inputs run on the bit-plane ring (_plane_ring), table fields
-    and fields above _TABLE_CAP alike; sparse inputs there stay on the
-    routes below.  Above _TABLE_CAP, where _digit_lists_win says so, every
+    call, for sparse and shift inputs only.  Over F_(2^m) every input runs
+    on the bit-plane ring (_plane_ring) but sparse ones over table fields,
+    which stay pointwise (gamma's fields have q <= 2^14).  Above
+    _TABLE_CAP, where _digit_lists_win says so, every
     representation runs on the digit-list ring (_digit_ring).  Other
     extension fields, table fields among them, map the compiled evaluator
     over each block.
     """
     field = f.field
+    bound = degree_bound(f).bound or 0
+    if _differences_win(field.p, field.m, bound):
+        yield from _difference_lines(f, bound)
+        return
     if field.m != 1:
-        if field.p == 2 and not isinstance(f, SparsePoly):
+        if field.p == 2 and (field.q > _TABLE_CAP or not isinstance(f, SparsePoly)):
             yield from _ring_blocks(f, _plane_ring(field))
             return
         if field.q > _TABLE_CAP and _digit_lists_win(field.p, field.m):
@@ -628,13 +725,8 @@ def block_values(f):
         return
     p = field.p
     if isinstance(f, DensePoly):
-        top, *rest = f.coeffs[::-1] or (0,)
         for lo in range(0, p, BLOCK):
-            xs = range(lo, min(lo + BLOCK, p))
-            acc = [top] * len(xs)
-            for c in rest:
-                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
-            yield acc
+            yield _horner(f.coeffs, range(lo, min(lo + BLOCK, p)), p)
     elif isinstance(f, SparsePoly):
         log, exp = prime_logexp(p)
         n = p - 1

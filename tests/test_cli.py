@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from samples import sample_polys
@@ -336,3 +337,56 @@ def test_count_samples_exit_zero_and_methods_agree(tmp_path, capsys, p, m):
             assert code == 0, (serialize_poly(f), method, err)
             cards.add(json.loads(out)["cardinality"])
         assert len(cards) == 1, (serialize_poly(f), cards)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FUZZ_SAMPLES = [  # (argv before the input path, text)
+    *((["count"], path.read_text()) for path in sorted(FIXTURES.glob("*.poly"))),
+    (["reduce", "ssp-decide"], "ssp b=5\n2 3 4\n"),
+    (["reduce", "ssp-count"], "ssp b=3\n1 2\n"),
+    (["reduce", "sat3"], "p cnf 3 1\n1 2 3 0\n"),
+    (["reduce", "sat3"], "c SATLIB\np cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n"),
+]
+FUZZ_BYTES = "0123456789 \n\t:=,.+-*^()#xrcpmgonstdeuf"
+
+
+def mutate(rng, text):
+    """text with one or two seeded edits: a character deleted, doubled,
+    replaced or inserted, two neighbours swapped, or a line dropped or
+    doubled."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) or 1)
+        kind = rng.randrange(6)
+        if kind == 0:
+            text = text[:i] + text[i + 1:]
+        elif kind == 1:
+            text = text[:i] + text[i:i + 1] + text[i:]
+        elif kind in (2, 3):
+            text = text[:i] + rng.choice(FUZZ_BYTES) + text[i + (kind == 2):]
+        elif kind == 4:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            j = rng.randrange(len(lines))
+            lines[j:j + 1] = [] if rng.random() < 0.5 else [lines[j]] * 2
+            text = "".join(lines)
+    return text
+
+
+def test_cli_input_fuzz(tmp_path, capsys):
+    # seeded mutations of the fixtures and of ssp/cnf samples: every run
+    # exits 0, 2 (malformed) or 3 (desk scale); an error is one stderr
+    # line with nothing on stdout
+    rng = random.Random("cli-fuzz")
+    start = time.perf_counter()
+    for i in range(300):
+        argv, text = rng.choice(FUZZ_SAMPLES)
+        text = mutate(rng, text)
+        path = write(tmp_path, f"in{i}", text)
+        code, out, err = run_cli(capsys, *argv, path)
+        assert code in (0, 2, 3), (argv, text, code, err)
+        if code:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (text, err)
+        else:
+            json.loads(out)
+    assert time.perf_counter() - start < 5

@@ -155,8 +155,9 @@ def table_twin(field, monkeypatch):
 # F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9,
 # F_257^2 and F_17^4 end in a partial block.  F_257^2 and F_17^4 lie above
 # the table cap on the digit-list ring.  F_4, F_8, F_2^8, F_2^13 and F_2^17
-# take the bit-plane ring but for sparse inputs; F_2^17 fills two blocks
-# and its top plane is constant in each.
+# take the bit-plane ring, sparse inputs only above the cap; F_2^17 fills
+# two blocks and its top plane is constant in each.  Inputs of degree at
+# most 8 over F_4099, F_8191 and F_257^2 take the difference route.
 BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
                 (2, 2), (2, 3), (3, 2), (2, 8), (2, 13), (3, 9), (257, 2), (17, 4),
                 (2, 17)]
@@ -178,8 +179,6 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
                  SparsePoly(field, ((rng.randrange(1, q), 0), (rng.randrange(1, q), q + 1)))]
     if q > ffield._TABLE_CAP:
         reference = table_twin(field, monkeypatch)
-        if planes:  # sparse stays pointwise: seconds of packed products
-            polys = [f for f in polys if not isinstance(f, SparsePoly)]
     if q <= 13:  # degree >= q, and up to 3q, where that costs little
         polys += sample_polys(field, rng)
     want = [Counter(map(polyrep.evaluator(dataclasses.replace(f, field=reference)), range(q)))
@@ -187,14 +186,87 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
     if m == 1 or q > ffield._TABLE_CAP or planes:
         pointwise = polyrep.evaluator
 
-        def no_pointwise(f):  # sparse inputs over F_(2^m) stay pointwise
-            if planes and isinstance(f, SparsePoly):
+        def no_pointwise(f):  # sparse inputs over table fields F_(2^m) stay pointwise
+            if planes and q <= ffield._TABLE_CAP and isinstance(f, SparsePoly):
                 return pointwise(f)
             raise AssertionError("a block-ring count called the pointwise evaluator")
 
         monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
     for f, hist in zip(polys, want):
         assert count_direct(f)[1].entries == hist, f
+
+
+def refuse_pointwise(f):
+    raise AssertionError("a block route called the pointwise evaluator")
+
+
+def degree_cases(field, rng, d):
+    """One input of each representation with degree bound d, and F_q
+    coefficients outside F_p where m > 1."""
+    q = field.q
+
+    def r(lo=0):
+        return rng.randrange(lo, q)
+
+    yield DensePoly(field, tuple(r() for _ in range(d)) + (r(1),))
+    yield SparsePoly(field, ((r(1), 0), (r(1), d // 2), (r(1), d)))
+    yield SparseShiftPoly(field, ((r(1), r(), d), (r(1), r(), d // 2)), r())
+    # (x + g)^d + c by repeated products, g = gen or a constant
+    ins = [("x",), ("const", rng.randrange(1, field.p)),
+           ("gen",) if field.m > 1 else ("const", rng.randrange(field.p)), ("add", 1, 3)]
+    out = 4
+    for _ in range(d - 1):
+        ins.append(("mul", out, 4))
+        out = len(ins)
+    ins.append(("add", out, 2))
+    yield Slp(field, tuple(ins), len(ins) if d else 2)
+
+
+# Fields where polyrep._differences_win takes every degree up to its cut-over
+# (8): F_4099, F_8191 and F_65521 end in a partial block (3, 4095 and
+# 4081 points; the first is shorter than a degree-8 line's 9 seeds),
+# F_67^2 is a table field with the smallest p the rule takes, and F_257^2
+# lies above the table cap.  The costly fields run fewer degrees.  With
+# 64-point blocks the 67 lines of F_67^2 need several blocks of seed
+# points, the last one partial.
+DIFFERENCE_FIELDS = [(4099, 1, (0, 1, 8, 9), None), (8191, 1, (0, 1, 8, 9), None),
+                     (67, 2, (0, 1, 8, 9), None), (65521, 1, (1,), None),
+                     (257, 2, (2,), None), (67, 2, (2, 8), 64)]
+DIFFERENCE_CUT = 8
+
+
+@pytest.mark.parametrize("p,m,degrees,block", DIFFERENCE_FIELDS, ids=[
+    f"{p ** m}" + (f"-block{block}" if block else "") for p, m, _, block in DIFFERENCE_FIELDS])
+def test_difference_route_matches_pointwise_evaluator(p, m, degrees, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(polyrep, "BLOCK", block)
+    field = make_field(p, m)
+    q = field.q
+    rng = random.Random(f"differences:{q}")
+    reference = table_twin(field, monkeypatch) if q > ffield._TABLE_CAP else field
+    polys = [DensePoly(field, ()), SparseShiftPoly(field, (), rng.randrange(1, q)),
+             # x*x - x*x + x: bound 2, degree 1
+             Slp(field, (("x",), ("mul", 1, 1), ("sub", 2, 2), ("add", 3, 1)), 4)]
+    for d in degrees:
+        polys += degree_cases(field, rng, d)
+    assert not polyrep._differences_win(p, m, DIFFERENCE_CUT + 1)
+    taken = []
+    lines = polyrep._difference_lines
+    monkeypatch.setattr(polyrep, "_difference_lines",
+                        lambda f, bound: taken.append(f) or lines(f, bound))
+    for f in polys:
+        values = list(map(polyrep.evaluator(dataclasses.replace(f, field=reference)),
+                          range(q)))
+        bound = polyrep.degree_bound(f).bound or 0
+        routed, before = bound <= DIFFERENCE_CUT, len(taken)
+        with monkeypatch.context() as patch:
+            if routed:  # seeds come from the block kernels, never pointwise
+                patch.setattr(polyrep, "evaluator", refuse_pointwise)
+                # lines in point order: seeds one point off would move every
+                # line along itself and keep the histogram
+                assert list(chain.from_iterable(lines(f, bound))) == values, f
+            assert count_direct(f)[1].entries == Counter(values), f
+        assert (len(taken) > before) == routed, f
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 3)])
@@ -213,9 +285,10 @@ def test_digit_ring_matches_pointwise_on_small_fields(p, m):
 
 
 @pytest.mark.parametrize("m", [13, 17])
-def test_char_2_sparse_stays_pointwise(m, monkeypatch):
-    # over F_(2^m), table field or not, sparse inputs keep the pointwise
-    # evaluator and dense, shift and slp inputs run on bit planes
+def test_char_2_sparse_planes_above_cap(m, monkeypatch):
+    # over F_(2^m) dense, shift and slp inputs run on bit planes; sparse
+    # inputs do too above the table cap, and keep the pointwise evaluator
+    # on table fields, where gamma's fields lie
     field = make_field(2, m)
     q, rng = field.q, random.Random(m)
 
@@ -226,8 +299,12 @@ def test_char_2_sparse_stays_pointwise(m, monkeypatch):
         raise Pointwise(f)
 
     monkeypatch.setattr(polyrep, "evaluator", refuse)
-    with pytest.raises(Pointwise):
-        count_direct(SparsePoly(field, ((1, 3), (rng.randrange(1, q), 1))))
+    sparse = SparsePoly(field, ((1, 3), (rng.randrange(1, q), 1)))
+    if q <= ffield._TABLE_CAP:
+        with pytest.raises(Pointwise):
+            count_direct(sparse)
+    else:
+        assert count_direct(sparse)[0].cardinality > 0
     for f in (DensePoly(field, (rng.randrange(q), 0, 1)),
               SparseShiftPoly(field, ((1, rng.randrange(q), 3),)),
               Slp(field, (("x",), ("mul", 1, 1)), 2)):

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from oracles import add_reference, logexp_reference, mul_poly_reference
+from valueset import ffield
 from valueset.errors import (
     NotMonicError,
     NotPrimeError,
     OrderTooLargeError,
+    ParseError,
     SingularMatrixError,
 )
 from valueset.counting import count_direct
@@ -20,7 +22,7 @@ from valueset.ffield import (
     solve_linear,
     split_range,
 )
-from valueset.polyrep import DensePoly
+from valueset.polyrep import DensePoly, parse_poly
 
 
 def trial_division(n):
@@ -57,6 +59,23 @@ def test_make_field_explicit_modulus():
     for modulus in ((1, 2, 3), (7,)):  # a prime field takes no modulus
         with pytest.raises(ValueError):
             make_field(5, 1, modulus=modulus)
+
+
+def test_header_modulus_proved_once_and_reducible_always_refused(monkeypatch):
+    # the Rabin test runs once per (p, modulus); a reducible modulus is
+    # refused on every parse, not only the first
+    calls = []
+    real = ffield.is_irreducible
+    monkeypatch.setattr(ffield, "is_irreducible",
+                        lambda poly, p: calls.append(p) or real(poly, p))
+    ffield._irreducible_modulus.cache_clear()
+    for _ in range(3):
+        assert parse_poly("dense p=3 m=2 mod=2,2,1: 1.1 0.2").field.modulus == (2, 2, 1)
+    assert len(calls) == 1
+    for _ in range(3):
+        with pytest.raises(ParseError, match="not irreducible"):
+            parse_poly("dense p=3 m=2 mod=2,0,1: 1.1 0.2")  # x^2 + 2 = (x+1)(x+2)
+    assert len(calls) == 2
 
 
 def test_f4_multiplication():

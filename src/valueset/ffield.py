@@ -363,7 +363,10 @@ def _table_ops(field: Field):
 
 
 def _reduction_rows(p: int, modulus, count: int) -> list[list[int]]:
-    """Digits of x^m, ..., x^(m+count-1) mod modulus (monic, degree m) over F_p."""
+    """Digits of x^m, ..., x^(m+count-1) mod modulus (monic, degree m) over F_p;
+    none for count 0, where modulus may be a prime field's None."""
+    if not count:
+        return []
     rows = []
     row = [-c % p for c in modulus[:-1]]  # x^m = -(modulus without its lead)
     for _ in range(count):  # x^(k+1) = x * x^k, the top digit folds back
@@ -463,7 +466,7 @@ def _packed_xq(p: int, m: int, modulus, d: int):
     ones = sum(1 << i * w for i in digits)
     keep = ones * mask  # y-digits 0..m-1 of every slot
     lane = sum(mask << i * slot for i in range(d))  # y-digit 0 of every slot
-    y_rows = _reduction_rows(p, modulus, 2 * m - 2) if m > 1 else []
+    y_rows = _reduction_rows(p, modulus, 2 * m - 2)
     yrows = [(j * w, sum(c << i * w for i, c in enumerate(row)))
              for j, row in enumerate(y_rows, m)]  # y^j mod modulus, j = m..3m-3
     # v mod p for many digits at once (Granlund-Montgomery): for v < 2^w,
@@ -557,9 +560,9 @@ class Field:
     nothing); above the cap a packed-integer product reduced by
     precomputed rows and digit-wise sums.  Direct counts mostly bypass
     these ops: polyrep.block_values extends low-degree inputs over fields
-    with p >= 64 by forward differences, runs odd p above the cap on lists
-    of digits, and p = 2 on bit planes but for sparse inputs over table
-    fields.
+    with p >= 64 by forward differences, runs every input over odd p above
+    the cap, and slp inputs over F_p, on lists of digits, and p = 2 on bit
+    planes but for sparse inputs over table fields.
     """
 
     p: int

@@ -375,21 +375,6 @@ PLANE_BITS = 16
 Ring = namedtuple("Ring", "add sub mul lift blocks values")
 
 
-def _digit_lists_win(p: int, m: int) -> bool:
-    """Whether block_values takes the digit-list ring above _TABLE_CAP.
-
-    A ring product costs about 2m^2 list operations per point; a pointwise
-    product unpacks, multiplies and repacks m digits.  Timed per point
-    against the pointwise map on the first blocks of x*x + 1, a degree-4
-    dense polynomial and one shift triple (BENCH_14.json "crossover",
-    identical values): the ring is 2.1-5.9x faster on F_257^2, F_67^3,
-    F_17^4 and F_7^6, 1.1-2.3x on F_5^7 and F_7^9, 1.0-1.3x on F_5^10 and
-    F_5^11, and level on F_3^11 (0.9-1.2x), F_3^12 (0.9-1.1x) and F_3^13
-    (0.8-1.0x).
-    """
-    return p > 2 and m < 12
-
-
 def _digit_ring(field: Field) -> Ring:
     """Blocks of F_(p^m) elements held as m lists, digit i of every point
     in list i (a little-endian coefficient vector over F_p whose entries
@@ -400,8 +385,10 @@ def _digit_ring(field: Field) -> Ring:
     x^k mod modulus (ffield._reduction_rows), then every digit is reduced
     mod p.  Sums and differences are digit-wise and left unreduced, so a
     digit may be any int until the next product or the final mod p.  lift
-    turns an element into m constant lists of BLOCK entries; map stops at
-    the shortest list, so they serve a partial block too.
+    turns an element into m constant lists of min(BLOCK, q) entries; map
+    stops at the shortest list, so they serve a partial block too.  Over
+    F_p (m = 1) there are no rows and a block's one digit list is its
+    points.
     """
     p, m, q = field.p, field.m, field.q
     rows = _reduction_rows(p, field.modulus, m - 1)  # x^m .. x^(2m-2)
@@ -424,7 +411,7 @@ def _digit_ring(field: Field) -> Ring:
             c = coefficient(u, v, i)
             for k, r in fold:
                 c = map(operator.add, c, map(operator.mul, high[k - m], repeat(r)))
-            out.append(list(map(operator.mod, c, mods)))
+            out.append([d % p for d in c])
         return out
 
     def add(u, v):
@@ -433,8 +420,10 @@ def _digit_ring(field: Field) -> Ring:
     def sub(u, v):
         return [list(map(operator.sub, a, b)) for a, b in zip(u, v)]
 
+    width = min(BLOCK, q)
+
     def lift(c):
-        return [[d] * BLOCK for d in field.coeffs(c)]
+        return [[d] * width for d in field.coeffs(c)]
 
     # Blocks start at multiples of size = c * p^j (p^j <= BLOCK < p^(j+1)
     # or j = m - 1), so digits 0..j-1 of a block's points are those of
@@ -452,6 +441,7 @@ def _digit_ring(field: Field) -> Ring:
             n = min(size, q - lo)
             runs = range(lo, lo + n, span)
             yield [d[:n] for d in low_digits] + [
+                list(runs) if m == 1 else
                 list(chain.from_iterable(map(repeat, [x // s % p for x in runs], spans)))
                 for s in powers[j:]], n
 
@@ -693,19 +683,19 @@ def block_values(f):
     order.  Where _differences_win says so for the degree bound d, every
     representation is expanded to dense coefficients and each line of
     points extended from its first d + 1 values (_difference_lines).
-    Otherwise, over F_p each representation has a list kernel.  Dense:
-    Horner's rule over a block of points.  Sparse: x = g^j walks F_p^* for
-    a primitive root g, term c*x^e reads exp[(log c + e*j) mod (p-1)], and
-    x = 0 takes the constant term.  Shift: the map y -> a*y^e is tabulated
-    once per triple through the log table and rotated by b.  Slp: the
-    program's registers are lists.  The log/exp tables are built per
-    call, for sparse and shift inputs only.  Over F_(2^m) every input runs
-    on the bit-plane ring (_plane_ring) but sparse ones over table fields,
-    which stay pointwise (gamma's fields have q <= 2^14).  Above
-    _TABLE_CAP, where _digit_lists_win says so, every
-    representation runs on the digit-list ring (_digit_ring).  Other
-    extension fields, table fields among them, map the compiled evaluator
-    over each block.
+    Otherwise, over F_p dense inputs run Horner's rule over a block of
+    points, and sparse and shift inputs have log-table kernels.  Sparse:
+    x = g^j walks F_p^* for a primitive root g, term c*x^e reads
+    exp[(log c + e*j) mod (p-1)], and x = 0 takes the constant term.
+    Shift: the map y -> a*y^e is tabulated once per triple through the log
+    table and rotated by b.  The log/exp tables are built per call.  Slp
+    inputs over F_p run on the digit-list ring (_digit_ring) with one
+    digit.  Over F_(2^m) every input runs on the bit-plane ring
+    (_plane_ring) but sparse ones over table fields, which stay pointwise
+    (gamma's fields have q <= 2^14).  Odd p above _TABLE_CAP runs every
+    representation on the digit-list ring.  The remaining inputs over
+    extension fields, all on table fields, map the compiled evaluator over
+    each block.
     """
     field = f.field
     bound = degree_bound(f).bound or 0
@@ -715,13 +705,12 @@ def block_values(f):
     if field.m != 1:
         if field.p == 2 and (field.q > _TABLE_CAP or not isinstance(f, SparsePoly)):
             yield from _ring_blocks(f, _plane_ring(field))
-            return
-        if field.q > _TABLE_CAP and _digit_lists_win(field.p, field.m):
+        elif field.q > _TABLE_CAP:
             yield from _ring_blocks(f, _digit_ring(field))
-            return
-        ev, q = evaluator(f), field.q
-        for lo in range(0, q, BLOCK):
-            yield list(map(ev, range(lo, min(lo + BLOCK, q))))
+        else:
+            ev, q = evaluator(f), field.q
+            for lo in range(0, q, BLOCK):
+                yield list(map(ev, range(lo, min(lo + BLOCK, q))))
         return
     p = field.p
     if isinstance(f, DensePoly):
@@ -755,23 +744,8 @@ def block_values(f):
             for table in shifted:
                 acc = list(map(operator.add, acc, table[lo:lo + BLOCK]))
             yield [a % p for a in acc]
-    elif isinstance(f, Slp):
-        def add(u, v):
-            return [(a + b) % p for a, b in zip(u, v)]
-
-        def sub(u, v):
-            return [(a - b) % p for a, b in zip(u, v)]
-
-        def mul(u, v):
-            return [a * b % p for a, b in zip(u, v)]
-
-        # A constant register is one full block; zip cuts it to the points.
-        run = _compile_slp(f, add, sub, mul, lambda c: [c] * BLOCK)
-        for lo in range(0, p, BLOCK):
-            xs = range(lo, min(lo + BLOCK, p))
-            yield run(xs)[:len(xs)]
-    else:
-        raise TypeError(f"not a polynomial representation: {type(f).__name__}")
+    else:  # slp, or not a representation: _ring_blocks raises TypeError
+        yield from _ring_blocks(f, _digit_ring(field))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,9 @@ def test_count_direct_histogram_invariants():
 def block_route_cases(field, rng):
     """Zero, constants, exponents >= p, multiples of p - 1 and e = 0 terms,
     shifts with b = 0 or e = 0, and programs whose output is x, a constant,
-    or a use of sub, each cheap to evaluate at every point of F_8191."""
+    or a use of sub, each cheap to evaluate at every point of F_8191.  The
+    last program squares its way to x^16, bound 16, past the difference
+    route's cut-over."""
     p = field.p
 
     def r(lo=0):
@@ -108,6 +110,9 @@ def block_route_cases(field, rng):
     yield Slp(field, (("x",), ("const", r())), 2)
     yield Slp(field, (("x",), ("const", r()), ("sub", 2, 1), ("mul", 3, 3),
                       ("sub", 4, 2), ("mul", 5, 1)), 6)
+    yield Slp(field, (("x",), ("const", r(1)), ("sub", 1, 2), ("mul", 3, 3),
+                      ("sub", 4, 1), ("mul", 5, 5), ("mul", 6, 6), ("sub", 7, 2),
+                      ("mul", 8, 8)), 9)
 
 
 def ring_route_cases(field, rng, costly):
@@ -157,7 +162,8 @@ def table_twin(field, monkeypatch):
 # the table cap on the digit-list ring.  F_4, F_8, F_2^8, F_2^13 and F_2^17
 # take the bit-plane ring, sparse inputs only above the cap; F_2^17 fills
 # two blocks and its top plane is constant in each.  Inputs of degree at
-# most 8 over F_4099, F_8191 and F_257^2 take the difference route.
+# most 8 over F_4099, F_8191 and F_257^2 take the difference route; the
+# slp of bound 16 takes the digit-list ring with one digit over every F_p.
 BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
                 (2, 2), (2, 3), (3, 2), (2, 8), (2, 13), (3, 9), (257, 2), (17, 4),
                 (2, 17)]
@@ -269,19 +275,41 @@ def test_difference_route_matches_pointwise_evaluator(p, m, degrees, block, monk
         assert (len(taken) > before) == routed, f
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 3)])
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2),
+                                 (5, 2), (3, 3), (7, 3)])
 def test_digit_ring_matches_pointwise_on_small_fields(p, m):
-    # the digit-list ring (and over F_(2^m) the bit-plane ring) called
+    # the digit-list ring (and for p = 2 the bit-plane ring) called
     # directly, sparse inputs included, below the cap, where a full
-    # pointwise reference is cheap for degree >= q and strict programs too
+    # pointwise reference is cheap for degree >= q and strict programs too;
+    # over F_p the ring has one digit and no reduction rows
     field = make_field(p, m)
     rng = random.Random(f"ring:{p}:{m}")
     rings = [polyrep._digit_ring] + [polyrep._plane_ring] * (p == 2)
-    for f in [*sample_polys(field, rng), *ring_route_cases(field, rng, True)]:
+    cases = ring_route_cases(field, rng, True) if m > 1 else block_route_cases(field, rng)
+    for f in [*sample_polys(field, rng), *cases]:
         want = Counter(map(polyrep.evaluator(f), range(field.q)))
         for ring in rings:
             assert Counter(chain.from_iterable(
                 polyrep._ring_blocks(f, ring(field)))) == want, (ring.__name__, f)
+
+
+def test_odd_p_above_cap_takes_digit_ring(monkeypatch):
+    # F_3^12 lies above the cap: its first block comes from the digit-list
+    # ring, never from the pointwise evaluator, in point order
+    field = make_field(3, 12)
+    rng = random.Random("digit-ring:3:12")
+    pointwise, rings = polyrep.evaluator, []
+    ring_blocks = polyrep._ring_blocks
+    monkeypatch.setattr(polyrep, "_ring_blocks",
+                        lambda f, ring: rings.append(ring) or ring_blocks(f, ring))
+    monkeypatch.setattr(polyrep, "evaluator", refuse_pointwise)
+    dense, _, _, slp = degree_cases(field, rng, 4)
+    for f in (dense, slp):
+        got = next(polyrep.block_values(f))
+        digits, n = next(rings.pop().blocks())
+        points = [field.from_coeffs(ds) for ds in zip(*digits)]
+        assert len(got) == len(points) == n
+        assert list(got) == list(map(pointwise(f), points)), f
 
 
 @pytest.mark.parametrize("m", [13, 17])

@@ -100,14 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> tuple[dict, int]:
-    f = polyrep.parse_poly(Path(args.polyfile).read_text())
+    f = polyrep.parse_poly(Path(args.polyfile).read_text(encoding="utf-8-sig"))
     report = counting.count_value_set(
         f, method=args.method, nk_source=args.nk)
     return report.to_json_dict(f.field, polyrep.serialize_poly(f)), EXIT_OK
 
 
 def _cmd_permtest(args) -> tuple[dict, int]:
-    f = polyrep.parse_poly(Path(args.polyfile).read_text())
+    f = polyrep.parse_poly(Path(args.polyfile).read_text(encoding="utf-8-sig"))
     report = counting.count_value_set(f, method=args.method)
     payload = report.to_json_dict(f.field, polyrep.serialize_poly(f))
     payload["is_permutation"] = report.cardinality == report.q
@@ -122,7 +122,7 @@ def _cmd_char(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
-    text = Path(args.input).read_text()
+    text = Path(args.input).read_text(encoding="utf-8-sig")
     if args.kind == "sat3":
         cnf = reductions.parse_dimacs(text)
         report, construction = reductions.gamma_image_check(cnf)

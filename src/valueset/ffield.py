@@ -288,9 +288,11 @@ def _table_ops(field: Field):
     """add, sub, mul, inv, pow in F_(p^m), q <= _TABLE_CAP, by log/exp tables.
 
     The tables are built by the first product or power, zero operands
-    included, or by the first inverse, and kept in the closures' own cells
-    only, so an operation bound before the build sees them after it.  Sums
-    before the build run digit by digit.
+    included, or by the first inverse or mul.tables() call, and kept in
+    the closures' own cells only, so an operation bound before the build
+    sees them after it.  Sums before the build run digit by digit.  For
+    odd p, mul.tables() returns (log, exp, zech), the arrays the ops read;
+    it is Field.tables, so that Field holds no reference to them.
     """
     p, m, q, modulus = field.p, field.m, field.q, field.modulus
     n = q - 1
@@ -335,6 +337,13 @@ def _table_ops(field: Field):
 
     if p == 2:
         return xor, xor, mul, inv, power
+
+    def tables():
+        if exp is None:
+            load()
+        return log, exp, zech
+
+    mul.tables = tables  # Field.tables
 
     def add(a, b):
         if zech is None:  # never build here: only products pay for tables
@@ -558,11 +567,14 @@ class Field:
     product or power, zero operands included, from a table of a -> a*g
     (_build_logexp; sums taken before that run digit by digit and build
     nothing); above the cap a packed-integer product reduced by
-    precomputed rows and digit-wise sums.  Direct counts mostly bypass
-    these ops: polyrep.block_values extends low-degree inputs over fields
-    with p >= 64 by forward differences, runs every input over odd p above
-    the cap, and slp inputs over F_p, on lists of digits, and p = 2 on bit
-    planes but for sparse inputs over table fields.
+    precomputed rows and digit-wise sums.  tables() gives an odd-p table
+    field's (log, exp, zech) arrays, building them as a product would
+    (once per field).  Direct counts mostly bypass these ops:
+    polyrep.block_values extends low-degree inputs over fields with
+    p >= 64 by forward differences, runs every input over odd p on lists
+    of discrete logs up to the cap and on lists of digits above it, slp
+    inputs over F_p on lists of digits too, and p = 2 on bit planes but
+    for sparse inputs over table fields.
     """
 
     p: int
@@ -600,6 +612,11 @@ class Field:
         for c in reversed(list(coeffs)):
             idx = idx * self.p + c % self.p
         return idx
+
+    def tables(self):
+        """(log, exp, zech) of an odd-p table field (_build_logexp), the
+        arrays its ops read, built here if no product has built them yet."""
+        return self.mul.tables()
 
     @property
     def gen(self) -> int:
@@ -668,12 +685,9 @@ class Field:
         exp[n:] = exp[:n - 1]
         if p == 2:
             return log, exp, None
-        zech = [-1] * n
-        for k in range(n):
-            e = exp[k]
-            one_plus = e - e % p + (e + 1) % p  # adding 1 touches only digit 0
-            if one_plus:
-                zech[k] = log[one_plus]
+        # Adding 1 touches only digit 0; 1 + g^k = 0 only at g^k = -1.
+        zech = [log[e - e % p + (e + 1) % p] for e in exp[:n]]
+        zech[n // 2] = -1
         return log, exp, zech
 
     # -- serialization -------------------------------------------------------

@@ -371,8 +371,10 @@ PLANE_BITS = 16
 # A ring over blocks of field elements.  add, sub, mul and lift (a field
 # element to a constant block) are its arithmetic; blocks() yields a
 # (points, n) pair per block of n points, and values(u, n) turns a block
-# result u into the values at those n points.
-Ring = namedtuple("Ring", "add sub mul lift blocks values")
+# result u into the values at those n points.  term(c, u, e, b), where a
+# ring has it, is c*(u + b)^e (0^0 = 1) in one pass; the others add, square
+# and multiply.
+Ring = namedtuple("Ring", "add sub mul lift blocks values term", defaults=(None,))
 
 
 def _digit_ring(field: Field) -> Ring:
@@ -523,6 +525,63 @@ def _plane_ring(field: Field) -> Ring:
     return Ring(add, add, mul, lift, blocks, values)
 
 
+def _log_ring(field: Field) -> Ring:
+    """Blocks of F_(p^m) elements, odd p and q <= _TABLE_CAP, held as lists
+    of discrete logs to the field's generator g, read from Field.tables:
+    logs lie in [0, q - 1) and zero is the sentinel 2(q - 1).
+
+    A product adds the logs and folds the sum into [0, q - 1) by
+    comparison; a sum with zero in it reaches the sentinel.  A sum a + b
+    is a(1 + b/a), one Zech lookup zech[log b - log a] (a negative index
+    wraps mod q - 1), -1 where b = -a.  A difference first adds log(-1) =
+    (q - 1)/2 to the subtrahend.  A term c*(u + b)^e is one pass:
+    log c + e*log(u + b) mod (q - 1), log(u + b) by a Zech lookup too.
+    A block's points are logs as well, zero and then g^0, g^1, ... in
+    turn, so they cost no lookup and only the last block is partial.
+    values reads exp.
+    """
+    log, exp, zech = field.tables()
+    q = field.q
+    n = q - 1
+    half, zero = n // 2, 2 * n
+    width = min(BLOCK, q)
+
+    def mul(u, v):
+        return [s if s < n else s - n if s < zero else zero for s in map(operator.add, u, v)]
+
+    def add(u, v):
+        return [b if a == zero else a if b == zero else
+                zero if (z := zech[b - a]) < 0 else s if (s := a + z) < n else s - n
+                for a, b in zip(u, v)]
+
+    def sub(u, v):
+        return add(u, [b + half if b < half else b - half if b < n else zero for b in v])
+
+    def lift(c):
+        return [log[c] if c else zero] * width
+
+    def term(c, u, e, b):
+        if not c or not e:
+            return lift(c)
+        k, e = log[c], e % n
+        if not b:
+            return [(k + e * a) % n if a < n else zero for a in u]
+        lb = log[b]  # c*(u + b)^e = c*b^e*(1 + u/b)^e
+        kb = (k + e * lb) % n
+        return [kb if a >= n else (kb + e * z) % n if (z := zech[a - lb]) >= 0 else zero
+                for a in u]
+
+    def blocks():
+        for lo in range(0, q, BLOCK):
+            hi = min(lo + BLOCK, q)
+            yield [zero, *range(hi - 1)] if not lo else list(range(lo - 1, hi - 1)), hi - lo
+
+    def values(u, k):
+        return [exp[a] if a < n else 0 for a in islice(u, k)]
+
+    return Ring(add, sub, mul, lift, blocks, values, term)
+
+
 def _fold_shift(f: SparseShiftPoly) -> tuple[int, list[tuple[int, int, int]]]:
     """f's constant and its triples with e >= 1, each exponent folded
     through x^q = x to 1 + (e - 1) mod (q - 1).  A triple with e = 0 is
@@ -541,11 +600,14 @@ def _fold_shift(f: SparseShiftPoly) -> tuple[int, list[tuple[int, int, int]]]:
 def _ring_blocks(f, ring: Ring):
     """block_values over a block ring, one block of points at a time.
     Dense: Horner's rule.  Sparse: exponents folded through x^q = x, each
-    term its coefficient times the squares x^(2^k) that its exponent's
-    bits pick.  Shift: _fold_shift, then (x + b)^e by square-and-multiply.
-    Slp: the registers are block elements.  Coefficients are lifted block
-    by block, so a long input holds one block's elements at a time."""
+    term c*x^e one pass of the ring's term where it has one (_log_ring),
+    else c times the squares x^(2^k) that e's bits pick, shared by every
+    term.  Shift: _fold_shift, then a*(x + b)^e by the ring's term or by a
+    sum and square-and-multiply.  Slp: the registers are block elements.
+    Coefficients are lifted block by block, so a long input holds one
+    block's elements at a time."""
     add, sub, mul, lift = ring.add, ring.sub, ring.mul, ring.lift
+    term = ring.term or (lambda c, u, e, b: mul(lift(c), _ring_pow(mul, add(u, lift(b)), e)))
     if isinstance(f, DensePoly):
         lead, *rest = f.coeffs[::-1] or (0,)
 
@@ -553,6 +615,15 @@ def _ring_blocks(f, ring: Ring):
             acc = lift(lead)
             for c in rest:
                 acc = add(mul(acc, x), lift(c))
+            return acc
+    elif isinstance(f, SparseShiftPoly) or isinstance(f, SparsePoly) and ring.term:
+        const, triples = (_fold_shift(f) if isinstance(f, SparseShiftPoly) else
+                          (0, [(c, 0, e) for c, e in reduce_exponents(f).terms]))
+
+        def run(x):
+            acc = lift(const)
+            for a, b, e in triples:
+                acc = add(acc, term(a, x, e, b))
             return acc
     elif isinstance(f, SparsePoly):
         terms = reduce_exponents(f).terms
@@ -564,19 +635,11 @@ def _ring_blocks(f, ring: Ring):
                 squares.append(mul(squares[-1], squares[-1]))
             acc = lift(0)
             for c, e in terms:
-                term = lift(c)
+                prod = lift(c)
                 for k in range(e.bit_length()):
                     if e >> k & 1:
-                        term = mul(term, squares[k])
-                acc = add(acc, term)
-            return acc
-    elif isinstance(f, SparseShiftPoly):
-        const, triples = _fold_shift(f)
-
-        def run(x):
-            acc = lift(const)
-            for a, b, e in triples:
-                acc = add(acc, mul(lift(a), _ring_pow(mul, add(x, lift(b)), e)))
+                        prod = mul(prod, squares[k])
+                acc = add(acc, prod)
             return acc
     elif isinstance(f, Slp):
         run = _compile_slp(f, add, sub, mul, lift)
@@ -692,10 +755,9 @@ def block_values(f):
     inputs over F_p run on the digit-list ring (_digit_ring) with one
     digit.  Over F_(2^m) every input runs on the bit-plane ring
     (_plane_ring) but sparse ones over table fields, which stay pointwise
-    (gamma's fields have q <= 2^14).  Odd p above _TABLE_CAP runs every
-    representation on the digit-list ring.  The remaining inputs over
-    extension fields, all on table fields, map the compiled evaluator over
-    each block.
+    (gamma's fields have q <= 2^14).  Over odd p every representation runs
+    on the log ring (_log_ring), one pass per product, sum, sparse term or
+    shift power, up to _TABLE_CAP and on the digit-list ring above it.
     """
     field = f.field
     bound = degree_bound(f).bound or 0
@@ -705,8 +767,9 @@ def block_values(f):
     if field.m != 1:
         if field.p == 2 and (field.q > _TABLE_CAP or not isinstance(f, SparsePoly)):
             yield from _ring_blocks(f, _plane_ring(field))
-        elif field.q > _TABLE_CAP:
-            yield from _ring_blocks(f, _digit_ring(field))
+        elif field.p != 2:
+            ring = _digit_ring if field.q > _TABLE_CAP else _log_ring
+            yield from _ring_blocks(f, ring(field))
         else:
             ev, q = evaluator(f), field.q
             for lo in range(0, q, BLOCK):

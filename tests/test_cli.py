@@ -390,3 +390,20 @@ def test_cli_input_fuzz(tmp_path, capsys):
         else:
             json.loads(out)
     assert time.perf_counter() - start < 5
+
+
+def test_utf8_bom_reads_as_without(tmp_path, capsys):
+    # a leading UTF-8 byte order mark changes neither stdout nor the exit
+    # code of count, permtest or reduce
+    cases = [([command], path.read_text()) for command in ("count", "permtest")
+             for path in sorted(FIXTURES.glob("*.poly"))]
+    cases += [(["reduce", "ssp-count"], "ssp b=3\n1 2\n"),
+              (["reduce", "sat3"], "c SATLIB\np cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")]
+    for i, (argv, text) in enumerate(cases):
+        plain = tmp_path / f"plain{i}"
+        plain.write_bytes(text.encode())
+        marked = tmp_path / f"bom{i}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = run_cli(capsys, *argv, str(plain))
+        assert want[0] == 0, (argv, text, want)
+        assert run_cli(capsys, *argv, str(marked))[:2] == want[:2], (argv, text)

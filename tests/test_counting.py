@@ -157,16 +157,19 @@ def table_twin(field, monkeypatch):
     return twin
 
 
-# F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^9,
-# F_257^2 and F_17^4 end in a partial block.  F_257^2 and F_17^4 lie above
-# the table cap on the digit-list ring.  F_4, F_8, F_2^8, F_2^13 and F_2^17
-# take the bit-plane ring, sparse inputs only above the cap; F_2^17 fills
-# two blocks and its top plane is constant in each.  Inputs of degree at
-# most 8 over F_4099, F_8191 and F_257^2 take the difference route; the
-# slp of bound 16 takes the digit-list ring with one digit over every F_p.
+# F_2 has p - 1 = 1.  polyrep.BLOCK is 4096: F_4099, F_8191, F_3^8,
+# F_17^3, F_3^9, F_257^2 and F_17^4 end in a partial block (F_3^8, F_17^3
+# and F_3^9 in one of 2465, 817 and 3299 points).  F_9, F_5^3, F_3^8,
+# F_17^3 and F_3^9 are table fields on the log ring; F_257^2 and F_17^4
+# lie above the table cap on the digit-list ring.  F_4, F_8, F_2^8, F_2^13
+# and F_2^17 take the bit-plane ring, sparse inputs only above the cap;
+# F_2^17 fills two blocks and its top plane is constant in each.  Inputs
+# of degree at most 8 over F_4099, F_8191 and F_257^2 take the difference
+# route; the slp of bound 16 takes the digit-list ring with one digit over
+# every F_p.
 BLOCK_FIELDS = [(2, 1), (3, 1), (5, 1), (13, 1), (4099, 1), (8191, 1),
-                (2, 2), (2, 3), (3, 2), (2, 8), (2, 13), (3, 9), (257, 2), (17, 4),
-                (2, 17)]
+                (2, 2), (2, 3), (3, 2), (5, 3), (2, 8), (2, 13), (3, 8), (17, 3), (3, 9),
+                (257, 2), (17, 4), (2, 17)]
 
 
 @pytest.mark.parametrize("p,m", BLOCK_FIELDS, ids=[str(p ** m) for p, m in BLOCK_FIELDS])
@@ -175,29 +178,24 @@ def test_block_route_matches_pointwise_evaluator(p, m, monkeypatch):
     q = field.q
     rng = random.Random(q)
     reference = field
-    planes = p == 2 and m > 1
     if m == 1:
         polys = list(block_route_cases(field, rng))
-    elif q > ffield._TABLE_CAP or planes:
-        polys = list(ring_route_cases(field, rng, m == 2 or planes))
-    else:  # zero, a constant, and degree q + 1 (folding to x^2) with a constant term
-        polys = [DensePoly(field, ()), DensePoly(field, (rng.randrange(1, q),)),
-                 SparsePoly(field, ((rng.randrange(1, q), 0), (rng.randrange(1, q), q + 1)))]
+    else:
+        polys = list(ring_route_cases(field, rng, q <= ffield._TABLE_CAP or p == 2 or m == 2))
     if q > ffield._TABLE_CAP:
         reference = table_twin(field, monkeypatch)
     if q <= 13:  # degree >= q, and up to 3q, where that costs little
         polys += sample_polys(field, rng)
     want = [Counter(map(polyrep.evaluator(dataclasses.replace(f, field=reference)), range(q)))
             for f in polys]
-    if m == 1 or q > ffield._TABLE_CAP or planes:
-        pointwise = polyrep.evaluator
+    pointwise = polyrep.evaluator
 
-        def no_pointwise(f):  # sparse inputs over table fields F_(2^m) stay pointwise
-            if planes and q <= ffield._TABLE_CAP and isinstance(f, SparsePoly):
-                return pointwise(f)
-            raise AssertionError("a block-ring count called the pointwise evaluator")
+    def no_pointwise(f):  # sparse inputs over table fields F_(2^m) stay pointwise
+        if p == 2 and m > 1 and q <= ffield._TABLE_CAP and isinstance(f, SparsePoly):
+            return pointwise(f)
+        raise AssertionError("a block-ring count called the pointwise evaluator")
 
-        monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
+    monkeypatch.setattr(polyrep, "evaluator", no_pointwise)
     for f, hist in zip(polys, want):
         assert count_direct(f)[1].entries == hist, f
 
@@ -276,17 +274,28 @@ def test_difference_route_matches_pointwise_evaluator(p, m, degrees, block, monk
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (13, 1), (2, 2), (2, 3), (3, 2),
-                                 (5, 2), (3, 3), (7, 3)])
+                                 (5, 2), (3, 3), (7, 2), (7, 3)])
 def test_digit_ring_matches_pointwise_on_small_fields(p, m):
-    # the digit-list ring (and for p = 2 the bit-plane ring) called
-    # directly, sparse inputs included, below the cap, where a full
-    # pointwise reference is cheap for degree >= q and strict programs too;
-    # over F_p the ring has one digit and no reduction rows
+    # the digit-list ring (for p = 2 also the bit-plane ring, for odd p
+    # with m > 1 also the log ring) called directly, sparse inputs
+    # included, below the cap, where a full pointwise reference is cheap
+    # for degree >= q and strict programs too; then sums that cancel to 0
+    # at every nonzero point (x^(q-1) - 1, a shift pair, x + (-1)*x, x - x)
+    # or at some (x^2 - 1); over F_p the ring has one digit and no
+    # reduction rows
     field = make_field(p, m)
-    rng = random.Random(f"ring:{p}:{m}")
-    rings = [polyrep._digit_ring] + [polyrep._plane_ring] * (p == 2)
-    cases = ring_route_cases(field, rng, True) if m > 1 else block_route_cases(field, rng)
-    for f in [*sample_polys(field, rng), *cases]:
+    q, rng = field.q, random.Random(f"ring:{p}:{m}")
+    rings = ([polyrep._digit_ring] + [polyrep._plane_ring] * (p == 2)
+             + [polyrep._log_ring] * (p > 2 and m > 1))
+    cases = [*sample_polys(field, rng),
+             *(ring_route_cases(field, rng, True) if m > 1 else block_route_cases(field, rng))]
+    a, b, e = rng.randrange(1, q), rng.randrange(q), rng.randrange(1, 3 * q)
+    cases += [SparsePoly(field, ((p - 1, 0), (1, q - 1))),
+              SparsePoly(field, ((p - 1, 0), (1, 2))),
+              SparseShiftPoly(field, ((a, b, e), (field.sub(0, a), b, e))),
+              Slp(field, (("x",), ("const", p - 1), ("mul", 1, 2), ("add", 1, 3)), 4),
+              Slp(field, (("x",), ("sub", 1, 1)), 2)]
+    for f in cases:
         want = Counter(map(polyrep.evaluator(f), range(field.q)))
         for ring in rings:
             assert Counter(chain.from_iterable(
@@ -665,6 +674,14 @@ def test_count_direct_builds_one_table(monkeypatch):
     report, hist = count_direct(DensePoly(field, (5,)))
     assert (report.cardinality, hist.entries) == (1, {5: field.q})
     assert builds == [field.q] and digit_sums == []
+    # and an slp whose live instructions only add and subtract (the product
+    # is dead) builds them too: its sums run on the log ring
+    builds.clear()
+    field = make_field(3, 7)
+    f = Slp(field, (("x",), ("gen",), ("add", 1, 2), ("mul", 1, 1), ("sub", 3, 1)), 5)
+    _, hist = count_direct(f)
+    assert builds == [field.q] and digit_sums == []
+    assert hist.entries == {field.gen: field.q}
 
 
 # Prime fields, odd p with m > 1 and p = 2, all with q <= 49.

@@ -181,7 +181,9 @@ def count_direct(f):
 
 
 def has_root(g: DensePoly) -> bool:
-    """True iff g has a root in F_q, via gcd(x^q - x mod g, g)."""
+    """True iff g has a root in F_q, by ffield.root_test: the
+    discriminant's quadratic character for d = 2 and 3 over odd p (x^q
+    mod g only for some cubics), gcd(x^q - x mod g, g) otherwise."""
     if g.is_zero():
         raise ZeroPolynomialError("every point is a root of the zero polynomial")
     if not g.degree:
@@ -192,6 +194,9 @@ def has_root(g: DensePoly) -> bool:
 def count_codomain(f: DensePoly) -> ValueSetReport:
     """For each a in F_q decide whether f - a has a root; count the hits.
 
+    One ffield.root_test per count: over odd p a quadratic f costs one
+    field power per a, a cubic a power and, when the discriminant is a
+    nonzero square, x^q mod (f - a); every other f takes x^q and a gcd.
     Keeps only a counter (never the image set), so space stays polynomial
     in d*log(q).
     """

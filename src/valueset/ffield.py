@@ -532,7 +532,19 @@ def _packed_xq(p: int, m: int, modulus, d: int):
 
 
 def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
-    """A test for monic g of degree d >= 1: gcd(x^q - x mod g, g) != 1.
+    """A test for monic g of degree d >= 1: does g have a root in F_q?
+
+    For odd p and d = 2 or 3 it reads the quadratic character of the
+    discriminant D, one field.pow(D, (q - 1) / 2).  By Stickelberger's
+    theorem (Swan 1962), a squarefree g over odd q has a square D iff
+    d - r is even, r the number of its irreducible factors.  D = 0 means a
+    repeated factor, which is linear at d <= 3: a root.  A quadratic has a
+    root iff D is a square, with no x^q and no gcd.  A cubic whose D is a
+    non-square has r = 2, one linear factor; a nonzero square leaves
+    r = 1 or 3, three roots iff x^q mod g = x, so no gcd.  In characteristic
+    2 every element is a square, and from d = 4 on each parity of r holds
+    factor patterns with and without a linear factor: both keep the test
+    gcd(x^q - x mod g, g) != 1.
 
     x^q mod g is packed (_packed_xq) above _TABLE_CAP, and below it when
     2d <= q + 1 and either m = 1 or p is odd and 3d >= m; otherwise it is
@@ -543,10 +555,30 @@ def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
     digit folds per step).  The gcd runs on the list kernel either way.
     """
     p, m, q = field.p, field.m, field.q
+    add, sub, mul, power, half = field.add, field.sub, field.mul, field.pow, (q - 1) // 2
+    four, k18, k27 = 4 % p, 18 % p, 27 % p
+    if p > 2 and d == 2:
+        def test(g):  # g = x^2 + bx + c, D = b^2 - 4c
+            c, b = g[0], g[1]
+            disc = sub(mul(b, b), mul(four, c))
+            return not disc or power(disc, half) == 1
+
+        return test
     if q > _TABLE_CAP or 2 * d <= q + 1 and (m == 1 or p > 2 and 3 * d >= m):
         xq = _packed_xq(p, m, field.modulus, d)
     else:
         xq = partial(_dense_powmod, field, [0, 1], q)
+    if p > 2 and d == 3:
+        def test(g):  # g = x^3 + ax^2 + bx + c
+            c, b, a = g[0], g[1], g[2]
+            # D = a^2b^2 - 4b^3 - 4a^3c - 27c^2 + 18abc
+            #   = b^2 (a^2 - 4b) + c (a (18b - 4a^2) - 27c)
+            aa = mul(a, a)
+            disc = add(mul(mul(b, b), sub(aa, mul(four, b))),
+                       mul(c, sub(mul(a, sub(mul(k18, b), mul(four, aa))), mul(k27, c))))
+            return not disc or power(disc, half) != 1 or xq(g) == [0, 1]
+
+        return test
 
     def test(g):
         r = _dense_sub(field, xq(g), [0, 1])

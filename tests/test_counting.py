@@ -1,6 +1,7 @@
 """The three counting algorithms, N_k sources, and the proof identities."""
 
 import dataclasses
+import itertools
 import math
 import random
 import threading
@@ -385,6 +386,9 @@ def test_has_root():
 
 # Both sides of root_test's packed/dense rule: prime fields, characteristic
 # 2, small d against large m, d > m, d >= q and one field above the cap.
+# Over odd p, root_test reads the discriminant at d = 2 and computes x^q
+# only for some cubics, so the x^q kernels are compared with each other
+# directly at every degree, d = 2 and 3 included.
 ROOT_TEST_FIELDS = [(2, 1), (3, 1), (5, 1), (1009, 1), (2, 3), (2, 8), (2, 13),
                     (3, 2), (7, 3), (3, 6), (31, 2), (257, 2)]
 
@@ -416,6 +420,74 @@ def test_root_test_matches_dense_reference(p, m):
             ref = sum(has_root_reference(field, [field.sub(c, a)] if c != a else [])
                       for a in range(q))
             assert count_codomain(DensePoly(field, (c,) if c else ())).cardinality == ref == 1
+
+
+def _monic_product(field, roots, *factors):
+    """prod (x - r) over roots, times the monic factors, as a coefficient list."""
+    out = [1]
+    for f in [[field.sub(0, r), 1] for r in roots] + list(factors):
+        out = ffield._dense_mul(field, out, f)
+    return out
+
+
+def _rootless(field, rng, d):
+    """A random monic g of degree d <= 3 with no root: g is irreducible."""
+    while True:
+        g = [rng.randrange(field.q) for _ in range(d)] + [1]
+        if not has_root_reference(field, g):
+            return g
+
+
+# Odd p: the discriminant's character at d = 2 and 3; p = 2: x^q + gcd.
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 3)],
+                         ids=lambda v: str(v))
+def test_low_degree_root_test_every_monic(p, m):
+    field = make_field(p, m)
+    for d in (2, 3):
+        test = ffield.root_test(field, d)
+        for coeffs in itertools.product(range(field.q), repeat=d):
+            g = [*coeffs, 1]
+            assert test(g) == has_root_reference(field, g), g
+
+
+# Every discriminant class: D = 0 with a double or a triple root, a nonzero
+# square (two or three roots, or an irreducible cubic) and a non-square (an
+# irreducible quadratic, or a cubic with one root), on both sides of the cap.
+@pytest.mark.parametrize("p,m", [(3, 3), (2003, 1), (31, 2), (3, 6), (257, 2),
+                                 (3, 11), (2, 13)], ids=lambda v: str(v))
+def test_low_degree_root_test_constructed(p, m):
+    field = make_field(p, m)
+    q = field.q
+    rng = random.Random(f"low-degree-root:{p}:{m}")
+    a, b, c = rng.sample(range(q), 3)
+    cases = [(_monic_product(field, [a, a]), True),
+             (_monic_product(field, [a, b]), True),
+             (_rootless(field, rng, 2), False),
+             (_monic_product(field, [a, a, b]), True),
+             (_monic_product(field, [c, c, c]), True),
+             (_monic_product(field, [a, b, c]), True),
+             (_monic_product(field, [a], _rootless(field, rng, 2)), True),
+             (_rootless(field, rng, 3), False)]
+    cases += [(g, has_root_reference(field, g)) for d in (2, 3) for _ in range(8)
+              for g in [[rng.randrange(q) for _ in range(d)] + [1]]]
+    for g, expected in cases:
+        assert ffield.root_test(field, len(g) - 1)(g) == expected, g
+        assert has_root_reference(field, g) == expected, g
+
+
+@pytest.mark.parametrize("p,m", [(2003, 1), (3, 6), (31, 2), (7, 3)],
+                         ids=lambda v: str(v))
+def test_codomain_matches_direct_low_degree(p, m):
+    field = make_field(p, m)
+    rng = random.Random(f"codomain-low-degree:{p}:{m}")
+    alpha, beta = rng.randrange(field.q), rng.randrange(field.q)
+    shifted = _monic_product(field, [alpha, alpha])  # (x - alpha)^2 + beta
+    shifted[0] = field.add(shifted[0], beta)
+    polys = [DensePoly(field, tuple(shifted)),
+             random_dense(rng, field, 2), random_dense(rng, field, 3)]
+    for f in polys:
+        assert count_codomain(f).cardinality == count_direct(f)[0].cardinality
+    assert count_codomain(polys[0]).cardinality == (field.q + 1) // 2
 
 
 def test_sym_weights_small():

@@ -135,6 +135,8 @@ def coverage(p: int, t: int) -> PatternCoverage:
         counts[pat] += 1
         if first[pat] is None:
             first[pat] = x
+    if sum(counts) != p:  # once per table; the reductions rely on it
+        raise AssertionError(f"pattern classes total {sum(counts)}, not p = {p}")
     root = math.isqrt(p)
     center = Fraction(p, 1 << t)
     spread = t * (3 + root)

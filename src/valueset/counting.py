@@ -41,12 +41,17 @@ NK_SOURCES = ("histogram", "brute", "hypersurface")
 METHODS = ("direct", "codomain", "symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PreimageHistogram:
     """c_y = |f^{-1}(y)| keyed by the canonical index of the value y."""
 
     field: Field
     entries: dict
+
+    def __init__(self, field, entries):
+        # Frozen, so the fields go to the instance dict directly: the
+        # generated __init__ costs one object.__setattr__ per field.
+        self.__dict__.update(field=field, entries=entries)
 
     def num_values(self) -> int:
         return len(self.entries)
@@ -93,7 +98,7 @@ class HypersurfaceCount:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValueSetReport:
     cardinality: int
     method: str
@@ -102,6 +107,11 @@ class ValueSetReport:
     nk: EqualValueCounts | None = None
     histogram: PreimageHistogram | None = None
     seconds: float = 0.0
+
+    def __init__(self, cardinality, method, q, d, nk=None, histogram=None, seconds=0.0):
+        self.__dict__.update(  # as PreimageHistogram's
+            cardinality=cardinality, method=method, q=q, d=d, nk=nk,
+            histogram=histogram, seconds=seconds)
 
     def to_json_dict(self, field: Field, poly_text: str | None = None) -> dict:
         out = {
@@ -183,7 +193,8 @@ def count_direct(f):
 def has_root(g: DensePoly) -> bool:
     """True iff g has a root in F_q, by ffield.root_test: the
     discriminant's quadratic character for d = 2 and 3 over odd p (x^q
-    mod g only for some cubics), gcd(x^q - x mod g, g) otherwise."""
+    mod g only for some cubics), an absolute trace for d = 2 over p = 2,
+    gcd(x^q - x mod g, g) otherwise."""
     if g.is_zero():
         raise ZeroPolynomialError("every point is a root of the zero polynomial")
     if not g.degree:
@@ -196,7 +207,8 @@ def count_codomain(f: DensePoly) -> ValueSetReport:
 
     One ffield.root_test per count: over odd p a quadratic f costs one
     field power per a, a cubic a power and, when the discriminant is a
-    nonzero square, x^q mod (f - a); every other f takes x^q and a gcd.
+    nonzero square, x^q mod (f - a); over p = 2 a quadratic f costs an
+    inverse and m - 1 squarings per a; every other f takes x^q and a gcd.
     Keeps only a counter (never the image set), so space stays polynomial
     in d*log(q).
     """

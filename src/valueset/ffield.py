@@ -541,9 +541,13 @@ def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
     repeated factor, which is linear at d <= 3: a root.  A quadratic has a
     root iff D is a square, with no x^q and no gcd.  A cubic whose D is a
     non-square has r = 2, one linear factor; a nonzero square leaves
-    r = 1 or 3, three roots iff x^q mod g = x, so no gcd.  In characteristic
-    2 every element is a square, and from d = 4 on each parity of r holds
-    factor patterns with and without a linear factor: both keep the test
+    r = 1 or 3, three roots iff x^q mod g = x, so no gcd.  For p = 2 and
+    d = 2, x^2 + bx + c has a root when b = 0 (squaring permutes F_q);
+    otherwise x = by turns it into b^2 (y^2 + y + c/b^2), and y^2 + y = z
+    is solvable iff the absolute trace z + z^2 + ... + z^(2^(m-1)) is 0,
+    which takes m - 1 squarings.  Cubics in characteristic 2 (every element
+    is a square) and every d >= 4 (each parity of r holds factor patterns
+    with and without a linear factor) keep the test
     gcd(x^q - x mod g, g) != 1.
 
     x^q mod g is packed (_packed_xq) above _TABLE_CAP, and below it when
@@ -562,6 +566,17 @@ def root_test(field: Field, d: int) -> Callable[[list[int]], bool]:
             c, b = g[0], g[1]
             disc = sub(mul(b, b), mul(four, c))
             return not disc or power(disc, half) == 1
+
+        return test
+    if p == 2 and d == 2:
+        def test(g):  # g = x^2 + bx + c: b = 0, or Tr(c / b^2) = 0
+            if not g[1]:
+                return True
+            z = trace = mul(g[0], field.inv(mul(g[1], g[1])))
+            for _ in range(m - 1):
+                z = mul(z, z)
+                trace ^= z  # a sum in characteristic 2
+            return not trace
 
         return test
     if q > _TABLE_CAP or 2 * d <= q + 1 and (m == 1 or p > 2 and 3 * d >= m):

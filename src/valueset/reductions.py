@@ -15,7 +15,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from . import charsum, counting, polyrep
 from .errors import (
@@ -37,28 +38,28 @@ MAX_GAMMA_BITS = 14  # F_(2^(n+m)) construction limit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubsetSumInstance:
     """Positive integers a_1..a_t and a target b (multiset semantics)."""
 
     a: tuple[int, ...]
     b: int
-    # Derived from a by __post_init__, once: the reductions read both per use.
+    # Derived from a, once: the reductions read both per use.
     t: int = dc_field(init=False, repr=False, compare=False)
     _total: int = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        a = self.a
+    def __init__(self, a, b):
         if len(a) < 1:
             raise ValueError("need at least one element")
         if min(a) < 1:
             raise ValueError("elements must be positive integers")
-        if self.b < 0:
+        if b < 0:
             raise ValueError("the target must be nonnegative")
         a = tuple(map(int, a))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "t", len(a))
-        object.__setattr__(self, "_total", sum(a))
+        # Frozen, so the fields go to the instance dict directly: the
+        # generated __init__ costs one object.__setattr__ per field.
+        fields = self.__dict__
+        fields["a"], fields["b"], fields["t"], fields["_total"] = a, b, len(a), sum(a)
 
     def total(self) -> int:
         return self._total
@@ -116,11 +117,11 @@ def find_prime_above(lower: int, policy: str = "smallest", seed: int = 0) -> int
 
 
 def decision_prime_bound(inst: SubsetSumInstance) -> int:
-    return max(2 ** (3 * inst.t), inst.total())
+    return max(1 << 3 * inst.t, inst.total())  # max(2^(3t), sum(a))
 
 
 def counting_prime_bound(inst: SubsetSumInstance) -> int:
-    return max(2 ** (3 * inst.t), 2 * inst.total())
+    return max(1 << 3 * inst.t, 2 * inst.total())  # max(2^(3t), 2 sum(a))
 
 
 def build_beta(inst: SubsetSumInstance, p: int) -> SparseShiftPoly:
@@ -174,25 +175,53 @@ def beta_slp(inst: SubsetSumInstance, p: int) -> Slp:
     return builder.build(_beta_registers(builder, inst, p)[1])
 
 
-@lru_cache(maxsize=64)
-def _subset_sums(a: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of a_(i+1) * bit_i for every alpha pattern, indexed by the
-    pattern read as bits; built by doubling, as pattern pat + 2^i adds
-    a_(i+1) to pattern pat."""
-    sums = [0]
-    for ai in a:
-        sums += [s + ai for s in sums]
-    return tuple(sums)
-
-
 def _solution_patterns(inst: SubsetSumInstance, p: int) -> list[int]:
     """The alpha patterns, read as bits, with sum of a_(i+1) * bit_i = b mod p.
 
-    Every caller has p > sum(a), so each subset sum is its own residue and
-    the patterns are those whose sum equals b mod p.
+    Every caller has p > sum(a), so each subset sum, built by doubling, is
+    its own residue.
     """
+    sums = [0]
+    for ai in inst.a:
+        sums += [s + ai for s in sums]
     target = inst.b % p
-    return [pat for pat, s in enumerate(_subset_sums(inst.a)) if s == target]
+    return [pat for pat, s in enumerate(sums) if s == target]
+
+
+@lru_cache(maxsize=64)
+def _pattern_lanes(p: int, t: int) -> tuple:
+    """(width, planes, ones, ranked): one width-bit lane per pattern that
+    occurs in F_p, by first x.  ranked[k] is lane k's (first x, pattern,
+    class size); planes[i] is 1 in the lanes whose pattern has bit i set."""
+    table, width = charsum.pattern_table(p, t), p.bit_length() + 1
+    ranked = sorted((x, pat, table.counts[pat])
+                    for pat, x in enumerate(table.first_x) if x is not None)
+    lanes = [1 << width * k for k in range(len(ranked))]
+    planes = [sum(lane for lane, (_, pat, _) in zip(lanes, ranked) if pat >> i & 1)
+              for i in range(t)]
+    return width, planes, sum(lanes), ranked
+
+
+def _solutions(inst: SubsetSumInstance, p: int) -> list[tuple[int, int, int]]:
+    """(first x, pattern, class size) of each pattern in F_p with
+    sum a_(i+1) * bit_i = b mod p, in order of first x.
+
+    sum(a_(i+1) * planes[i]) holds each pattern's sum in its lane.  As
+    p > sum(a), the sums and b mod p stay below the lane's top bit: lane
+    XOR (b mod p) is 0 iff the pattern solves, and adding 2^(width-1) - 1
+    carries into the top bit iff it is not.
+    """
+    width, planes, ones, ranked = _pattern_lanes(p, inst.t)
+    top, found = ones << width - 1, []
+    hits = ((sum(map(mul, inst.a, planes)) ^ inst.b % p * ones) + top - ones & top) ^ top
+    while hits:
+        low = hits & -hits
+        found.append(ranked[low.bit_length() // width - 1])
+        hits ^= low
+    return found
+
+
+_prime_field = lru_cache(maxsize=16)(make_field)  # one F_p per prime
 
 
 def _gadget_prime(inst: SubsetSumInstance, bound: int, policy: str, seed: int) -> int:
@@ -211,12 +240,15 @@ def _gadget_prime(inst: SubsetSumInstance, bound: int, policy: str, seed: int) -
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RootDecision:
     instance: SubsetSumInstance
     p: int | None  # None when b > sum(a) short-circuited the reduction
     answer: bool
     witness: int | None
+
+    def __init__(self, instance, p, answer, witness):  # as SubsetSumInstance's
+        self.__dict__.update(instance=instance, p=p, answer=answer, witness=witness)
 
 
 def decide_ssp_via_root(inst: SubsetSumInstance,
@@ -227,17 +259,15 @@ def decide_ssp_via_root(inst: SubsetSumInstance,
     table: beta(x) depends on x only through the pattern
     (alpha(x), ..., alpha(x+t-1)), so the root set is the union of the
     pattern classes whose weighted sum hits b, and the smallest root is the
-    smallest first-occurrence among them.  b > sum(a) short-circuits to
-    False: beta only sees b mod p, which may equal some subset sum.
+    first x of the first of them to occur (_solutions).  b > sum(a)
+    short-circuits to False: beta only sees b mod p, which may equal some
+    subset sum.
     """
     if inst.b > inst.total():
-        return RootDecision(instance=inst, p=None, answer=False, witness=None)
+        return RootDecision(inst, None, False, None)
     p = _gadget_prime(inst, decision_prime_bound(inst), prime_policy, seed)
-    table = charsum.pattern_table(p, inst.t)
-    witness = min((table.first_x[pat] for pat in _solution_patterns(inst, p)
-                   if table.counts[pat]), default=None)
-    return RootDecision(instance=inst, p=p, answer=witness is not None,
-                        witness=witness)
+    found = _solutions(inst, p)
+    return RootDecision(inst, p, bool(found), found[0][0] if found else None)
 
 
 class CountingPoly:
@@ -245,7 +275,7 @@ class CountingPoly:
 
     beta^(p-1) collapses to 0/1 by Fermat, so evaluation never powers a
     symbolic object; the slp() rendering keeps the literal
-    square-and-multiply chains instead.
+    square-and-multiply chains instead.  field is one cached F_p per prime.
     """
 
     def __init__(self, inst: SubsetSumInstance, p: int):
@@ -255,13 +285,16 @@ class CountingPoly:
                 f"{counting_prime_bound(inst)}, got {p}")
         self.instance = inst
         self.p = p
-        self.field = Field(p, 1, None)  # p was checked prime above
+        self.field = _prime_field(p)
+
+    @cached_property
+    def _value_by_pattern(self) -> list[int]:
         # f(x) depends on x only through its alpha pattern, so the 2^t
         # possible values are tabulated once, indexed by the pattern.
-        values = [0] * (1 << inst.t)
-        for pat in _solution_patterns(inst, p):
-            values[pat] = pat % p
-        self._value_by_pattern = values
+        values = [0] * (1 << self.instance.t)
+        for pat in _solution_patterns(self.instance, self.p):
+            values[pat] = pat % self.p
+        return values
 
     def __call__(self, x: int) -> int:
         pattern = charsum.pattern_index_table(self.p, self.instance.t)[x]
@@ -276,7 +309,7 @@ class CountingPoly:
         return builder.build(builder.mul(indicator, weight))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CountResult:
     instance: SubsetSumInstance
     count: int
@@ -284,16 +317,21 @@ class CountResult:
     fpoly: CountingPoly | None = None
     report: counting.ValueSetReport | None = None
 
+    def __init__(self, instance, count, p, fpoly=None, report=None):  # as above
+        self.__dict__.update(instance=instance, count=count, p=p, fpoly=fpoly,
+                             report=report)
+
 
 def count_ssp_via_valueset(inst: SubsetSumInstance, workers: int = 1,
                            prime_policy: str = "smallest", seed: int = 0) -> CountResult:
     """Count solutions as |V_f| - 1; b = 0 and b > sum(a) short-circuit.
 
     f(x) depends on x only through its alpha pattern, so the preimage
-    histogram sums the class sizes of the cached pattern table that
-    decide_ssp_via_root reads: value_by_pattern[pat] gains counts[pat].
-    No point is evaluated.  workers is accepted, as the benchmark passes
-    it, and unused.
+    histogram comes from the cached pattern table decide_ssp_via_root
+    reads: each solving pattern that occurs in F_p is a value, its class
+    size the preimages (_solutions), and 0 takes the rest of F_p
+    (charsum.coverage checks that the classes total p).  No point is
+    evaluated.  workers is accepted, as the benchmark passes it, and unused.
     """
     if inst.b > inst.total():
         return CountResult(inst, 0, None)
@@ -302,18 +340,14 @@ def count_ssp_via_valueset(inst: SubsetSumInstance, workers: int = 1,
     start = time.perf_counter()
     p = _gadget_prime(inst, counting_prime_bound(inst), prime_policy, seed)
     f = CountingPoly(inst, p)
-    counts = charsum.pattern_table(p, inst.t).counts
-    if sum(counts) != p:
-        raise AssertionError(f"pattern classes total {sum(counts)}, not p = {p}")
-    entries: dict[int, int] = {}
-    for value, size in zip(f._value_by_pattern, counts):
-        if size:
-            entries[value] = entries.get(value, 0) + size
+    entries = {pat: size for _, pat, size in _solutions(inst, p)}  # pat > 0 as b > 0
+    rest = p - sum(entries.values())
+    if rest:
+        entries[0] = rest
     histogram = counting.PreimageHistogram(f.field, entries)
-    report = counting.ValueSetReport(
-        cardinality=len(entries), method="direct", q=p, d=None,
-        histogram=histogram, seconds=time.perf_counter() - start)
-    return CountResult(inst, report.cardinality - 1, p, fpoly=f, report=report)
+    report = counting.ValueSetReport(len(entries), "direct", p, None, None, histogram,
+                                     time.perf_counter() - start)
+    return CountResult(inst, len(entries) - 1, p, f, report)
 
 
 def brute_subset_decision(inst: SubsetSumInstance) -> bool:

@@ -111,6 +111,19 @@ def test_reduction_entry_points_take_workers(fn):
     assert "workers" in inspect.signature(fn).parameters
 
 
+def test_result_attributes_the_workloads_read():
+    # bench/workloads.py formats and gates these attributes of each result
+    inst = reductions.SubsetSumInstance((1, 2), 3)
+    decision = reductions.decide_ssp_via_root(inst)
+    assert (decision.answer, decision.witness, decision.p) == (True, 9, 67)
+    result = reductions.count_ssp_via_valueset(inst, workers=1)
+    assert (result.count, result.p) == (1, 67)
+    cnf = reductions.Cnf3(3, ((1, 2, 3),))
+    report, construction = reductions.gamma_image_check(cnf, workers=1)
+    assert (report.sat_assignments, report.circuit_image, report.gamma_valueset) == (7, 9, 9)
+    assert len(construction.gamma.terms) > 0
+
+
 def test_map_chunks_signature():
     assert list(inspect.signature(parallel.map_chunks).parameters)[:3] == ["fn", "n", "workers"]
 

@@ -438,7 +438,8 @@ def _rootless(field, rng, d):
             return g
 
 
-# Odd p: the discriminant's character at d = 2 and 3; p = 2: x^q + gcd.
+# Odd p: the discriminant's character at d = 2 and 3; p = 2: the absolute
+# trace at d = 2, x^q + gcd at d = 3.
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (2, 3)],
                          ids=lambda v: str(v))
 def test_low_degree_root_test_every_monic(p, m):
@@ -448,6 +449,24 @@ def test_low_degree_root_test_every_monic(p, m):
         for coeffs in itertools.product(range(field.q), repeat=d):
             g = [*coeffs, 1]
             assert test(g) == has_root_reference(field, g), g
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_char2_quadratic_root_test_every_monic(m):
+    # b = 0 (a root always) and b != 0 (a root iff Tr(c / b^2) = 0)
+    field = make_field(2, m)
+    test = ffield.root_test(field, 2)
+    for c, b in itertools.product(range(field.q), repeat=2):
+        assert test([c, b, 1]) == has_root_reference(field, [c, b, 1]), (c, b)
+
+
+def test_char2_quadratic_codomain_matches_direct():
+    field = make_field(2, 13)
+    rng = random.Random("char2-quadratic-codomain")
+    polys = [random_dense(rng, field, 2) for _ in range(2)]
+    polys.append(DensePoly(field, (rng.randrange(field.q), 0, 1)))  # b = 0
+    for f in polys:
+        assert count_codomain(f).cardinality == count_direct(f)[0].cardinality
 
 
 # Every discriminant class: D = 0 with a double or a triple root, a nonzero

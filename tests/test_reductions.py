@@ -1,5 +1,7 @@
 """Subset-sum and 3SAT reductions against their brute-force oracles."""
 
+import dataclasses
+import functools
 import itertools
 import random
 from collections import Counter
@@ -296,6 +298,147 @@ def test_counting_grid_subsample():
         for b in range(sum(a) + 2):
             inst = SubsetSumInstance(a, b)
             assert count_ssp_via_valueset(inst).count == brute_subset_count(inst)
+
+
+# Differential: decide and count against the 2^t oracles and pointwise
+# references, with every reductions and charsum cache cleared before each
+# call, then warm.  t = 7 runs warm only: a cold F_p table there costs about
+# 0.6 s a call, and one for t = 8 (p > 2^24) 5-8 s, so t = 8 is covered by
+# the lane lookups over a small prime below.
+DIFF_POLICIES = (("smallest", 0), ("random", 5))
+POINTWISE_LIMIT = 2 ** 16  # class sizes through oracles.pattern_map up to here
+
+
+def _clear_caches():
+    for module in (reductions, charsum):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@functools.cache
+def _class_sizes(p, t):
+    """The number of x in F_p with each pattern: pointwise by pattern_map up
+    to POINTWISE_LIMIT, by an uncached charsum.coverage above it."""
+    if p > POINTWISE_LIMIT:
+        return charsum.coverage(p, t).counts
+    sizes = [0] * (1 << t)
+    for x in range(p):
+        sizes[sum(bit << i for i, bit in enumerate(pattern_map(p, t, x)))] += 1
+    return tuple(sizes)
+
+
+def _first_root(inst, p):
+    """The smallest x with sum a_(i+1) * alpha(x+i) = b, scanned pointwise."""
+    return next(x for x in range(p)
+                if sum(ai * bit for ai, bit in zip(inst.a, pattern_map(p, inst.t, x)))
+                == inst.b)
+
+
+def _diff_instances(t):
+    rng = random.Random(f"ssp-differential:{t}")
+    a = [rng.randint(1, 9) for _ in range(t)]
+    a[-1] = a[0]  # a repeated element
+    total = sum(a)
+    return [SubsetSumInstance(a, b)
+            for b in sorted({0, rng.randint(1, total), total, total + 1})]
+
+
+def _check_decision(inst, policy, seed):
+    d = decide_ssp_via_root(inst, policy, seed)
+    if inst.b > inst.total():
+        assert (d.answer, d.p, d.witness) == (False, None, None)
+        return d
+    assert d.p == find_prime_above(decision_prime_bound(inst), policy, seed)
+    assert d.answer == brute_subset_decision(inst)
+    assert d.witness == (_first_root(inst, d.p) if d.answer else None)
+    return d
+
+
+def _check_count(inst, policy, seed):
+    res = count_ssp_via_valueset(inst, prime_policy=policy, seed=seed)
+    assert res.count == brute_subset_count(inst)
+    if inst.b > inst.total() or inst.b == 0:
+        assert (res.p, res.fpoly, res.report) == (None, None, None)
+        return res
+    p = find_prime_above(counting_prime_bound(inst), policy, seed)
+    solutions = solution_patterns_reference(inst, p)
+    sizes = _class_sizes(p, inst.t)
+    want = {pat: sizes[pat] for pat in solutions if sizes[pat]}
+    if p > sum(want.values()):
+        want[0] = p - sum(want.values())
+    assert res.p == p and res.report.q == p
+    assert res.report.histogram.entries == want
+    assert res.report.cardinality == len(want) == res.count + 1
+    assert res.fpoly._value_by_pattern == [pat if pat in solutions else 0
+                                           for pat in range(1 << inst.t)]
+    return res
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_ssp_reductions_match_oracles_cold_and_warm(t):
+    for inst in _diff_instances(t):
+        for policy, seed in DIFF_POLICIES[:1] if t == 7 else DIFF_POLICIES:
+            runs = []
+            for cold in (True, False) if t < 7 else (False,):
+                if cold:
+                    _clear_caches()
+                d = _check_decision(inst, policy, seed)
+                if cold:
+                    _clear_caches()
+                res = _check_count(inst, policy, seed)
+                runs.append((d, res.count, res.p, res.fpoly))
+            assert len({run[:3] for run in runs}) == 1, (inst, policy)
+            f = runs[-1][3]
+            if t <= 3 and f is not None:
+                # one slp text from the cold and the warm field, and the slp
+                # agrees with the pointwise reference at every x
+                texts = {polyrep.serialize_poly(run[3].slp()) for run in runs}
+                assert len(texts) == 1
+                ev = polyrep.evaluator(runs[0][3].slp())
+                for x in range(f.p):
+                    pat = sum(bit << i for i, bit in enumerate(pattern_map(f.p, t, x)))
+                    assert ev(x) == f._value_by_pattern[pat], (inst, x)
+
+
+@pytest.mark.parametrize("t", [7, 8])
+def test_solution_lanes_over_a_small_prime(t):
+    # A prime just above sum(a) leaves some patterns out of F_p; those get
+    # no lane, and the lanes still rank the rest by first occurrence.
+    rng = random.Random(f"small-prime-lanes:{t}")
+    for _ in range(4):
+        a = tuple(rng.randint(1, 9) for _ in range(t))
+        p = find_prime_above(sum(a))
+        first = {}
+        for x in range(p):
+            first.setdefault(sum(bit << i for i, bit in enumerate(pattern_map(p, t, x))), x)
+        for b in (0, rng.randint(1, sum(a)), sum(a)):
+            inst = SubsetSumInstance(a, b)
+            sizes = _class_sizes(p, t)
+            want = sorted((first[pat], pat, sizes[pat])
+                          for pat in solution_patterns_reference(inst, p) if pat in first)
+            assert reductions._solutions(inst, p) == want, (a, b, p)
+
+
+def test_result_types_are_frozen_hashable_values():
+    inst, twin = SubsetSumInstance([3, 1], 2), SubsetSumInstance((3, 1), 2)
+    assert type(inst.a) is tuple
+    pairs = [(inst, twin), (decide_ssp_via_root(inst), decide_ssp_via_root(twin)),
+             (decide_ssp_via_root(SubsetSumInstance((3, 1), 9)),
+              decide_ssp_via_root(SubsetSumInstance([3, 1], 9))),
+             (count_ssp_via_valueset(SubsetSumInstance((3, 1), 0)),
+              count_ssp_via_valueset(SubsetSumInstance([3, 1], 0)))]
+    for one, other in pairs:
+        assert one == other and hash(one) == hash(other)
+        assert one is not other
+    assert decide_ssp_via_root(inst) != decide_ssp_via_root(SubsetSumInstance((3, 1), 3))
+    # a full count holds its CountingPoly and report: frozen, equal to itself
+    full = count_ssp_via_valueset(inst)
+    assert full == full and full.fpoly is not None
+    for obj in (inst, pairs[1][0], full, full.report, full.report.histogram):
+        for name in [f.name for f in dataclasses.fields(obj)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1)
 
 
 def test_brute_oracles():

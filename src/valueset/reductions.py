@@ -117,11 +117,11 @@ def find_prime_above(lower: int, policy: str = "smallest", seed: int = 0) -> int
 
 
 def decision_prime_bound(inst: SubsetSumInstance) -> int:
-    return max(1 << 3 * inst.t, inst.total())  # max(2^(3t), sum(a))
+    return max(2 ** (3 * inst.t), inst.total())
 
 
 def counting_prime_bound(inst: SubsetSumInstance) -> int:
-    return max(1 << 3 * inst.t, 2 * inst.total())  # max(2^(3t), 2 sum(a))
+    return max(2 ** (3 * inst.t), 2 * inst.total())
 
 
 def build_beta(inst: SubsetSumInstance, p: int) -> SparseShiftPoly:
@@ -173,19 +173,6 @@ def beta_slp(inst: SubsetSumInstance, p: int) -> Slp:
     """Extended-mode straight-line rendering of beta."""
     builder = SlpBuilder(make_field(p), polyrep.SLP_EXTENDED)
     return builder.build(_beta_registers(builder, inst, p)[1])
-
-
-def _solution_patterns(inst: SubsetSumInstance, p: int) -> list[int]:
-    """The alpha patterns, read as bits, with sum of a_(i+1) * bit_i = b mod p.
-
-    Every caller has p > sum(a), so each subset sum, built by doubling, is
-    its own residue.
-    """
-    sums = [0]
-    for ai in inst.a:
-        sums += [s + ai for s in sums]
-    target = inst.b % p
-    return [pat for pat, s in enumerate(sums) if s == target]
 
 
 @lru_cache(maxsize=64)
@@ -289,11 +276,12 @@ class CountingPoly:
 
     @cached_property
     def _value_by_pattern(self) -> list[int]:
-        # f(x) depends on x only through its alpha pattern, so the 2^t
-        # possible values are tabulated once, indexed by the pattern.
+        # f(x) depends on x only through its alpha pattern, so the values
+        # are tabulated once, indexed by the pattern: a solving pattern that
+        # occurs in F_p is its own value (pat < 2^t < p), every other is 0.
         values = [0] * (1 << self.instance.t)
-        for pat in _solution_patterns(self.instance, self.p):
-            values[pat] = pat % self.p
+        for _, pat, _ in _solutions(self.instance, self.p):
+            values[pat] = pat
         return values
 
     def __call__(self, x: int) -> int:

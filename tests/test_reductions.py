@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -28,7 +29,6 @@ from valueset.reductions import (
     Cnf3,
     CountingPoly,
     SubsetSumInstance,
-    _solution_patterns,
     beta_slp,
     brute_subset_count,
     brute_subset_decision,
@@ -167,9 +167,13 @@ def test_decide_target_above_sum_is_false():
 
 
 def test_solution_patterns_match_bitwise_reference():
-    # The lookup scans the subset sums cached per a; the reference sums
-    # every pattern bit by bit.  Same patterns, same order, for any p above
-    # sum(a) that either reduction or prime policy picks.
+    # The lane lookup reads the solving patterns off the cached pattern
+    # table; the reference sums every pattern bit by bit.  Same patterns,
+    # for primes just above sum(a), where some patterns do not occur and get
+    # no lane (the lanes rank the rest by first x, with their class sizes),
+    # and, up to t = 5, for the primes either reduction and prime policy
+    # picks (above that a table costs 0.1-6 s; the differential test below
+    # runs those widths).
     rng = random.Random(12)
     for t in range(1, 9):
         for _ in range(3):
@@ -177,11 +181,20 @@ def test_solution_patterns_match_bitwise_reference():
             total = sum(a)
             for b in (0, 1, rng.randint(0, total), total, total + 1):
                 inst = SubsetSumInstance(a, b)
-                for bound in (decision_prime_bound(inst), counting_prime_bound(inst)):
+                bounds = [max(total, 2)]
+                if t <= 5:
+                    bounds += [decision_prime_bound(inst), counting_prime_bound(inst)]
+                for bound in bounds:
                     for policy, seed in (("smallest", 0), ("random", rng.randrange(100))):
                         p = find_prime_above(bound, policy, seed)
-                        assert (list(_solution_patterns(inst, p))
-                                == solution_patterns_reference(inst, p)), (a, b, p)
+                        want = solution_patterns_reference(inst, p)
+                        got = reductions._solutions(inst, p)
+                        if p > 1 << 3 * t:  # every pattern occurs
+                            assert sorted(pat for _, pat, _ in got) == want, (a, b, p)
+                            continue
+                        first, sizes = _first_x(p, t), _class_sizes(p, t)
+                        assert got == sorted((first[pat], pat, sizes[pat])
+                                             for pat in want if sizes[pat]), (a, b, p)
 
 
 def test_decide_scale_guard():
@@ -302,9 +315,9 @@ def test_counting_grid_subsample():
 
 # Differential: decide and count against the 2^t oracles and pointwise
 # references, with every reductions and charsum cache cleared before each
-# call, then warm.  t = 7 runs warm only: a cold F_p table there costs about
-# 0.6 s a call, and one for t = 8 (p > 2^24) 5-8 s, so t = 8 is covered by
-# the lane lookups over a small prime below.
+# call, then warm.  t = 7 and 8 run warm only, on the smallest gadget prime:
+# a cold F_p table there costs about 0.6 s a call, and one for t = 8
+# (p > 2^24, 26-bit lanes) 5-8 s, so t = 8 builds its one table once.
 DIFF_POLICIES = (("smallest", 0), ("random", 5))
 POINTWISE_LIMIT = 2 ** 16  # class sizes through oracles.pattern_map up to here
 
@@ -319,13 +332,26 @@ def _clear_caches():
 @functools.cache
 def _class_sizes(p, t):
     """The number of x in F_p with each pattern: pointwise by pattern_map up
-    to POINTWISE_LIMIT, by an uncached charsum.coverage above it."""
+    to POINTWISE_LIMIT, by an uncached charsum.coverage above it, and for
+    t = 8 by the cached table (a second pass over 2^24 points costs 5-8 s;
+    the count is still checked against the 2^t oracle)."""
+    if t == 8:
+        return charsum.pattern_table(p, t).counts
     if p > POINTWISE_LIMIT:
         return charsum.coverage(p, t).counts
     sizes = [0] * (1 << t)
     for x in range(p):
         sizes[sum(bit << i for i, bit in enumerate(pattern_map(p, t, x)))] += 1
     return tuple(sizes)
+
+
+@functools.cache
+def _first_x(p, t):
+    """The smallest x in F_p with each pattern that occurs, pointwise."""
+    first = {}
+    for x in range(p):
+        first.setdefault(sum(bit << i for i, bit in enumerate(pattern_map(p, t, x))), x)
+    return first
 
 
 def _first_root(inst, p):
@@ -370,17 +396,19 @@ def _check_count(inst, policy, seed):
     assert res.p == p and res.report.q == p
     assert res.report.histogram.entries == want
     assert res.report.cardinality == len(want) == res.count + 1
-    assert res.fpoly._value_by_pattern == [pat if pat in solutions else 0
-                                           for pat in range(1 << inst.t)]
+    # __call__ reads only the patterns that occur in F_p
+    assert [v for v, size in zip(res.fpoly._value_by_pattern, sizes) if size] == \
+        [pat if pat in solutions else 0 for pat in range(1 << inst.t) if sizes[pat]]
     return res
 
 
-@pytest.mark.parametrize("t", range(1, 8))
+@pytest.mark.parametrize("t", range(1, 9))
 def test_ssp_reductions_match_oracles_cold_and_warm(t):
+    wide = t >= 7
     for inst in _diff_instances(t):
-        for policy, seed in DIFF_POLICIES[:1] if t == 7 else DIFF_POLICIES:
+        for policy, seed in DIFF_POLICIES[:1] if wide else DIFF_POLICIES:
             runs = []
-            for cold in (True, False) if t < 7 else (False,):
+            for cold in (False,) if wide else (True, False):
                 if cold:
                     _clear_caches()
                 d = _check_decision(inst, policy, seed)
@@ -399,25 +427,8 @@ def test_ssp_reductions_match_oracles_cold_and_warm(t):
                 for x in range(f.p):
                     pat = sum(bit << i for i, bit in enumerate(pattern_map(f.p, t, x)))
                     assert ev(x) == f._value_by_pattern[pat], (inst, x)
-
-
-@pytest.mark.parametrize("t", [7, 8])
-def test_solution_lanes_over_a_small_prime(t):
-    # A prime just above sum(a) leaves some patterns out of F_p; those get
-    # no lane, and the lanes still rank the rest by first occurrence.
-    rng = random.Random(f"small-prime-lanes:{t}")
-    for _ in range(4):
-        a = tuple(rng.randint(1, 9) for _ in range(t))
-        p = find_prime_above(sum(a))
-        first = {}
-        for x in range(p):
-            first.setdefault(sum(bit << i for i, bit in enumerate(pattern_map(p, t, x))), x)
-        for b in (0, rng.randint(1, sum(a)), sum(a)):
-            inst = SubsetSumInstance(a, b)
-            sizes = _class_sizes(p, t)
-            want = sorted((first[pat], pat, sizes[pat])
-                          for pat in solution_patterns_reference(inst, p) if pat in first)
-            assert reductions._solutions(inst, p) == want, (a, b, p)
+    if t == 8:
+        _clear_caches()  # frees F_p's 16 MB alpha table for the rest of the run
 
 
 def test_result_types_are_frozen_hashable_values():
@@ -439,6 +450,22 @@ def test_result_types_are_frozen_hashable_values():
         for name in [f.name for f in dataclasses.fields(obj)] + ["extra"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, 1)
+
+
+@pytest.mark.parametrize("cls", [SubsetSumInstance, reductions.RootDecision,
+                                 reductions.CountResult, counting.PreimageHistogram,
+                                 counting.ValueSetReport])
+def test_hand_written_inits_take_every_init_field(cls):
+    # These frozen types write their instance dict in their own __init__; a
+    # field added to the class body alone would be skipped by it (or fall
+    # back to its class default), so the signature must list the init
+    # fields in order, with the same defaults.
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in fields]
 
 
 def test_brute_oracles():
